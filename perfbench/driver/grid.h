@@ -79,14 +79,13 @@ std::string daemon_request(const ModelCase& c, const std::string& op,
                            const std::string& id);
 
 // ---------------------------------------------------------------------------
-// Reference answers: CSV id,mean_q,tail_k,tail,decay_rate,phase_dim.
+// Reference answers: CSV id,mean_q,tail_k,tail,decay_rate.
 
 struct Reference {
   double mean = 0.0;
   std::size_t tail_k = 0;
   double tail = 0.0;
   double decay = 0.0;
-  std::size_t phase_dim = 0;
 };
 
 /// Relative tolerance of every reference comparison.

@@ -11,20 +11,28 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <random>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common.h"
 #include "daemon/jsonio.h"
 #include "grid.h"
-#include "linalg/kernels.h"
 
 namespace perfbench {
 
 namespace {
+
+// The session's fixed shape: a stationary mix offered open loop at a
+// reference rate well below performad's capacity.
+constexpr double kRefRate = 1000.0;       ///< requests per second
+constexpr double kRefSeconds = 0.5;       ///< measured stream length
+constexpr double kWarmupSeconds = 0.5;    ///< unreported stream before it
+constexpr double kUniqueShare = 0.01;     ///< never-seen keys in the mix
+constexpr double kDrainSeconds = 5.0;     ///< wait for replies after the last due time
+constexpr int kRoundtrips = 400;          ///< closed-loop hits for the socket p50
 
 enum Status : std::uint8_t {
   kPending,
@@ -54,39 +62,10 @@ struct Conn {
   std::string in;
 };
 
-double opt_num(const std::map<std::string, std::string>& o, const char* k,
-               double fallback) {
-  const auto it = o.find(k);
-  return it == o.end() ? fallback : std::atof(it->second.c_str());
-}
-
 std::string opt_str(const std::map<std::string, std::string>& o, const char* k) {
   const auto it = o.find(k);
   if (it == o.end()) throw std::invalid_argument(std::string("missing --") + k);
   return it->second;
-}
-
-double proc_cpu_seconds(long pid) {
-  if (pid <= 0) return 0.0;
-  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const std::size_t close = text.rfind(')');
-  if (close == std::string::npos) return 0.0;
-  std::vector<std::string> fields;
-  std::string cur;
-  for (std::size_t i = close + 2; i < text.size(); ++i) {
-    if (text[i] == ' ') {
-      fields.push_back(cur);
-      cur.clear();
-    } else {
-      cur += text[i];
-    }
-  }
-  // After ")": state is field 3, utime field 14, stime field 15.
-  if (fields.size() < 13) return 0.0;
-  const double ticks = static_cast<double>(sysconf(_SC_CLK_TCK));
-  return (std::stod(fields[11]) + std::stod(fields[12])) / ticks;
 }
 
 double percentile_of(std::vector<double> v, double p) {
@@ -100,18 +79,17 @@ double percentile_of(std::vector<double> v, double p) {
 
 class LoadGen {
  public:
-  LoadGen(const std::map<std::string, std::string>& o)
-      : rng_(static_cast<std::uint64_t>(opt_num(o, "seed", 1))),
+  LoadGen(const std::map<std::string, std::string>& o, std::uint64_t seed)
+      : rng_(seed),
         hot_(grid("daemon_hot")),
         unique_(grid("daemon_unique")),
         hot_refs_(load_references(opt_str(o, "refs-dir") + "/daemon_hot.csv")),
         unique_refs_(
             load_references(opt_str(o, "refs-dir") + "/daemon_unique.csv")),
-        unique_share_(opt_num(o, "unique-share", 0.02)),
-        unique_next_(static_cast<std::size_t>(opt_num(o, "seed", 1)) * 7919 %
-                     unique_.size()) {
+        unique_next_(static_cast<std::size_t>(seed) * 7919 % unique_.size()) {
     const std::string path = opt_str(o, "socket");
-    const int n = std::max(1, static_cast<int>(opt_num(o, "connections", 2)));
+    const int n = static_cast<int>(
+        std::clamp(std::thread::hardware_concurrency(), 1u, 4u));
     for (int i = 0; i < n; ++i) {
       Conn c;
       c.fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -138,17 +116,15 @@ class LoadGen {
   LoadGen& operator=(const LoadGen&) = delete;
 
   struct Phase {
-    double rate = 0.0;    ///< offered rate (open-loop phases)
-    double wall_s = 0.0;  ///< first send to last reply (batches)
     std::size_t first = 0;
     std::size_t count = 0;
   };
 
   /// One request of the stationary mix: a never-seen key with
-  /// probability unique_share, else a uniform hot key and op.
+  /// probability kUniqueShare, else a uniform hot key and op.
   Request draw() {
     Request r;
-    if (std::uniform_real_distribution<double>(0, 1)(rng_) < unique_share_) {
+    if (std::uniform_real_distribution<double>(0, 1)(rng_) < kUniqueShare) {
       r.unique = true;
       r.kase = static_cast<std::uint32_t>(unique_next_++ % unique_.size());
     } else {
@@ -159,54 +135,13 @@ class LoadGen {
     return r;
   }
 
-  /// Closed loop with `window` requests in flight (below the admission
-  /// queue bound, so nothing is shed): the time to answer a fixed batch.
-  Phase run_batch(std::size_t n, std::size_t window) {
+  /// Schedule `kRefRate * seconds` requests on a fixed grid and run them.
+  Phase run_phase(double seconds) {
     Phase ph;
     ph.first = reqs_.size();
-    ph.count = n;
-    for (std::size_t i = 0; i < n; ++i) reqs_.push_back(draw());
-    std::size_t next = ph.first;
-    const std::size_t end = ph.first + n;
-    const std::int64_t give_up = now_ns() + 60'000'000'000;
-    std::vector<pollfd> fds(conns_.size());
-    while (now_ns() < give_up) {
-      while (next < end && outstanding_ < window) {
-        reqs_[next].due = now_ns();
-        send(next++);
-      }
-      if (next == end && outstanding_ == 0) break;
-      for (std::size_t i = 0; i < conns_.size(); ++i) {
-        fds[i] = {conns_[i].fd, static_cast<short>(POLLIN | (conns_[i].out.empty() ? 0 : POLLOUT)), 0};
-      }
-      if (::poll(fds.data(), fds.size(), 0) < 0 && errno != EINTR) {
-        throw std::runtime_error("poll failed");
-      }
-      for (std::size_t i = 0; i < conns_.size(); ++i) {
-        if (fds[i].revents & POLLOUT) flush(conns_[i]);
-        if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) receive(conns_[i]);
-      }
-    }
-    for (std::size_t i = ph.first; i < end; ++i) {
-      if (reqs_[i].status == kPending) {
-        reqs_[i].status = kTransport;
-        --outstanding_;
-      }
-    }
-    std::int64_t last = 0;
-    for (std::size_t i = ph.first; i < end; ++i) last = std::max(last, reqs_[i].done);
-    ph.wall_s = static_cast<double>(last - reqs_[ph.first].due) * 1e-9;
-    return ph;
-  }
-
-  /// Schedule `rate * seconds` requests on a fixed grid and run them.
-  Phase run_phase(double rate, double seconds, double drain_s) {
-    Phase ph;
-    ph.rate = rate;
-    ph.first = reqs_.size();
-    ph.count = static_cast<std::size_t>(std::llround(rate * seconds));
+    ph.count = static_cast<std::size_t>(std::llround(kRefRate * seconds));
     const std::int64_t start = now_ns() + 2'000'000;
-    const double gap_ns = 1e9 / rate;
+    const double gap_ns = 1e9 / kRefRate;
     for (std::size_t i = 0; i < ph.count; ++i) {
       Request r = draw();
       r.due = start + static_cast<std::int64_t>(gap_ns * static_cast<double>(i));
@@ -216,7 +151,7 @@ class LoadGen {
     const std::size_t end = ph.first + ph.count;
     const std::int64_t give_up =
         (ph.count ? reqs_[end - 1].due : start) +
-        static_cast<std::int64_t>(drain_s * 1e9);
+        static_cast<std::int64_t>(kDrainSeconds * 1e9);
     std::vector<pollfd> fds(conns_.size());
     while (true) {
       std::int64_t now = now_ns();
@@ -245,7 +180,7 @@ class LoadGen {
         fds[i].revents = 0;
       }
       const int rc = ::poll(fds.data(), fds.size(), 0);
-      if (rc < 0 && errno != EINTR) throw std::runtime_error("ppoll failed");
+      if (rc < 0 && errno != EINTR) throw std::runtime_error("poll failed");
       for (std::size_t i = 0; i < conns_.size(); ++i) {
         if (fds[i].revents & POLLOUT) flush(conns_[i]);
         if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) receive(conns_[i]);
@@ -276,76 +211,19 @@ class LoadGen {
     return failed;
   }
 
-  /// p99 latency from due time (failed or refused requests count as
-  /// infinitely late) and the backlog trend of requests [first, first+n).
-  struct Verdict {
-    double p99 = 0.0;
-    bool growing = false;
-  };
-  Verdict window(std::size_t first, std::size_t n, double limit_ms) const {
-    Verdict v;
-    std::vector<double> lat;
-    for (std::size_t i = first; i < first + n; ++i) {
-      const Request& r = reqs_[i];
-      lat.push_back(r.status == kOk ? static_cast<double>(r.done - r.due) * 1e-6
-                                    : std::numeric_limits<double>::infinity());
-    }
-    v.p99 = percentile_of(lat, 99);
-    // Backlog trend: mean latency of the last fifth against the first.
-    const std::size_t fifth = std::max<std::size_t>(1, n / 5);
-    double head = 0.0, tail = 0.0;
-    std::size_t nh = 0, nt = 0;
-    for (std::size_t i = 0; i < fifth && i < n; ++i) {
-      if (std::isfinite(lat[i])) head += lat[i], ++nh;
-      if (std::isfinite(lat[n - 1 - i])) tail += lat[n - 1 - i], ++nt;
-    }
-    v.growing = nh && nt &&
-                tail / static_cast<double>(nt) - head / static_cast<double>(nh) >
-                    limit_ms / 2;
-    return v;
-  }
-
-  /// Summary of a phase. A phase passes when a majority of its `windows`
-  /// equal slices meet the p99 limit without a growing backlog (one
-  /// host-level stall cannot fail a step on its own) and the generator
-  /// kept its schedule.
-  std::string phase_json(const Phase& ph, double limit_ms, int windows,
-                         bool latencies, bool* pass, double* achieved) const {
+  /// Outcome counts and latency from due time (p50/p99 over the answered
+  /// requests) of a phase, with the generator's largest send lag.
+  std::string phase_json(const Phase& ph) const {
     std::size_t counts[8] = {};
-    std::vector<double> lat, lag;
-    std::int64_t first_due = 0, last_done = 0;
+    std::vector<double> lat;
+    double lag_max = 0.0;
     for (std::size_t i = ph.first; i < ph.first + ph.count; ++i) {
       const Request& r = reqs_[i];
       ++counts[r.status];
-      lag.push_back(static_cast<double>(r.sent - r.due) * 1e-6);
-      const double l = r.status == kOk
-                           ? static_cast<double>(r.done - r.due) * 1e-6
-                           : std::numeric_limits<double>::infinity();
-      lat.push_back(l);
-      if (i == ph.first) first_due = r.due;
-      last_done = std::max(last_done, r.done);
+      lag_max = std::max(lag_max, static_cast<double>(r.sent - r.due) * 1e-6);
+      if (r.status == kOk) lat.push_back(static_cast<double>(r.done - r.due) * 1e-6);
     }
-    int windows_ok = 0;
-    bool growing = false;
-    const std::size_t per = ph.count / static_cast<std::size_t>(windows);
-    for (int w = 0; w < windows; ++w) {
-      const Verdict v = window(ph.first + static_cast<std::size_t>(w) * per, per, limit_ms);
-      windows_ok += v.p99 <= limit_ms && !v.growing;
-      growing = growing || v.growing;
-    }
-    const double lag_p99 = percentile_of(lag, 99);
-    const double lag_max = lag.empty() ? 0.0 : *std::max_element(lag.begin(), lag.end());
-    const bool gen_limited = lag_p99 > std::min(1.0, limit_ms / 10);
-    const double p99 = percentile_of(lat, 99);
-    const double span_s = static_cast<double>(last_done - first_due) * 1e-9;
-    const double rate = span_s > 0 ? static_cast<double>(counts[kOk]) / span_s : 0.0;
-    if (pass) *pass = 2 * windows_ok > windows && !gen_limited;
-    if (achieved) *achieved = rate;
-
     JsonOut o;
-    o.num("offered_per_s", ph.rate);
-    o.num("wall_s", span_s);
-    o.num("achieved_per_s", rate);
     o.integer("requests", ph.count);
     o.integer("ok", counts[kOk]);
     o.integer("overloaded", counts[kOverloaded]);
@@ -355,26 +233,9 @@ class LoadGen {
     o.integer("transport", counts[kTransport]);
     o.integer("wrong", counts[kWrong]);
     o.num("p50_ms", percentile_of(lat, 50));
-    o.num("p99_ms", p99);
-    o.num("lag_p99_ms", lag_p99);
+    o.num("p99_ms", percentile_of(lat, 99));
     o.num("lag_max_ms", lag_max);
-    o.integer("backlog_growing", growing);
-    o.integer("windows_ok", static_cast<std::uint64_t>(windows_ok));
-    o.integer("generator_limited", gen_limited);
-    if (latencies) {
-      std::vector<double> finite;
-      for (double l : lat) {
-        if (std::isfinite(l)) finite.push_back(l);
-      }
-      o.array("latency_ms", finite);
-    }
     return o.finish();
-  }
-
-  std::size_t misses_sent(const Phase& ph) const {
-    std::size_t n = 0;
-    for (std::size_t i = ph.first; i < ph.first + ph.count; ++i) n += reqs_[i].unique;
-    return n;
   }
 
   const std::vector<Request>& requests() const { return reqs_; }
@@ -498,7 +359,6 @@ class LoadGen {
   std::vector<ModelCase> unique_;
   std::map<std::string, Reference> hot_refs_;
   std::map<std::string, Reference> unique_refs_;
-  double unique_share_;
   std::size_t unique_next_;
   std::vector<Conn> conns_;
   std::vector<Request> reqs_;
@@ -508,119 +368,42 @@ class LoadGen {
 }  // namespace
 
 int run_loadgen(const std::map<std::string, std::string>& o) {
-  const long pid = static_cast<long>(opt_num(o, "daemon-pid", 0));
-  const double ref_rate = opt_num(o, "ref-rate", 1000);
-  const double ref_s = opt_num(o, "ref-seconds", 4);
-  const double limit_ms = opt_num(o, "p99-limit-ms", 20);
-  const double step_s = opt_num(o, "step-seconds", 1);
-  const double growth = opt_num(o, "ladder-growth", 1.5);
-  const double ladder_start = opt_num(o, "ladder-start", 0);
-  const int bisect = static_cast<int>(opt_num(o, "bisect", 2));
-  const double max_rate = opt_num(o, "max-rate", 50000);
-  const bool traced = opt_num(o, "trace", 0) == 1;
+  const std::uint64_t seed =
+      std::strtoull(o.count("seed") ? o.at("seed").c_str() : "1", nullptr, 10);
   const std::string workdir = o.count("workdir") ? o.at("workdir") : ".";
 
-  LoadGen gen(o);
+  LoadGen gen(o, seed);
   std::printf("ready\n");
   std::fflush(stdout);
   JsonOut out;
-  if (opt_num(o, "warm-only", 0) == 1) {
+  if (o.count("warm-only")) {
     // Closed loop over every hot key and op: the first touch of each key
     // is a cold solve that the daemon caches and journals.
     out.integer("warm_failed", gen.warm());
     std::printf("%s\n", out.finish().c_str());
     return 0;
   }
-  if (traced) {
-    const auto rt = gen.roundtrips(400);
-    out.num("socket_p50_us", percentile_of(rt, 50));
-  }
-  gen.run_phase(ref_rate, 0.5, 2.0);  // warm-up, not reported
+  out.num("socket_p50_us", percentile_of(gen.roundtrips(kRoundtrips), 50));
+  gen.run_phase(kWarmupSeconds);
+  const auto ref = gen.run_phase(kRefSeconds);
+  out.raw("reference", gen.phase_json(ref));
 
-  const double cpu0 = proc_cpu_seconds(pid);
-  const auto ref = gen.run_phase(ref_rate, ref_s, 5.0);
-  const double cpu1 = proc_cpu_seconds(pid);
-  bool ref_pass = false;
-  double ref_achieved = 0.0;
-  out.raw("reference", gen.phase_json(ref, limit_ms, 1, true, &ref_pass, &ref_achieved));
-  out.num("daemon_cpu_s", cpu1 - cpu0);
-  out.integer("reference_misses", gen.misses_sent(ref));
-
-  // Fixed batches, closed loop: the wall time of a fixed work list.
-  const int batches = static_cast<int>(opt_num(o, "batches", 0));
-  const std::size_t batch_n = static_cast<std::size_t>(opt_num(o, "batch-requests", 10000));
-  std::vector<double> batch_s;
-  std::size_t batch_failed = 0, batch_requests = 0;
-  for (int b = 0; b < batches; ++b) {
-    const auto ph = gen.run_batch(batch_n, static_cast<std::size_t>(opt_num(o, "batch-window", 32)));
-    batch_s.push_back(ph.wall_s);
-    batch_requests += ph.count;
-    for (std::size_t i = ph.first; i < ph.first + ph.count; ++i) {
-      batch_failed += gen.requests()[i].status != kOk;
-    }
+  // One span per reference request from its due time to its reply, with
+  // the daemon round trip (send -> reply) as its child.
+  Tracer& t = tracer();
+  const auto& reqs = gen.requests();
+  for (std::size_t i = ref.first; i < ref.first + ref.count; ++i) {
+    if (reqs[i].done == 0) continue;
+    const int parent = static_cast<int>(t.spans.size());
+    t.spans.push_back({"request", reqs[i].due, reqs[i].done, -1,
+                       static_cast<std::uint32_t>(i)});
+    t.spans.push_back({"daemon.roundtrip", reqs[i].sent, reqs[i].done, parent,
+                       static_cast<std::uint32_t>(i)});
   }
-  out.str("kernel", performa::linalg::to_string(performa::linalg::kernel_backend()));
-  out.array("batch_s", batch_s);
-  out.integer("batch_requests", batch_requests);
-  out.integer("batch_failed", batch_failed);
+  const std::string path = workdir + "/trace-daemon-" + std::to_string(seed) + ".jsonl";
+  t.write(path);
+  out.str("trace_file", path);
 
-  if (traced) {
-    // One span per reference request from its due time to its reply, with
-    // the daemon round trip (send -> reply) as its child.
-    Tracer& t = tracer();
-    const auto& reqs = gen.requests();
-    for (std::size_t i = ref.first; i < ref.first + ref.count; ++i) {
-      if (reqs[i].done == 0) continue;
-      const int parent = static_cast<int>(t.spans.size());
-      t.spans.push_back({"request", reqs[i].due, reqs[i].done, -1,
-                         static_cast<std::uint32_t>(i)});
-      t.spans.push_back({"daemon.roundtrip", reqs[i].sent, reqs[i].done, parent,
-                         static_cast<std::uint32_t>(i)});
-    }
-    const std::string path = workdir + "/trace-daemon_open-" +
-                             std::to_string(static_cast<long>(opt_num(o, "seed", 1))) +
-                             ".jsonl";
-    t.write(path);
-    out.str("trace_file", path);
-  }
-
-  // Rate ladder: grow until a step fails, then bisect. A step passes when
-  // p99 (refused or failed requests count as infinitely late) meets the
-  // limit, the backlog does not grow, and the generator kept its schedule.
-  std::string steps = "[";
-  double lo = ref_pass ? ref_rate : 0.0, lo_achieved = ref_pass ? ref_achieved : 0.0;
-  double hi = 0.0;
-  bool gen_limited = false;
-  // A generator-limited step is a failed step: the daemon is not credited
-  // with a rate the generator could not offer.
-  const auto step = [&](double rate) {
-    const auto ph = gen.run_phase(rate, step_s, 2.0);
-    bool pass = false;
-    double achieved = 0.0;
-    const std::string js = gen.phase_json(ph, limit_ms, 3, false, &pass, &achieved);
-    if (steps.size() > 1) steps += ',';
-    steps += js;
-    gen_limited = gen_limited || js.find("\"generator_limited\":1") != std::string::npos;
-    if (pass) {
-      lo = rate;
-      lo_achieved = achieved;
-    } else {
-      hi = rate;
-    }
-    return pass;
-  };
-  if (ref_pass) {
-    for (double r = std::max(ladder_start, ref_rate * growth); r <= max_rate;
-         r *= growth) {
-      if (!step(r)) break;
-    }
-    for (int i = 0; i < bisect && hi > lo; ++i) step(std::sqrt(lo * hi));
-  }
-  steps += "]";
-  out.raw("ladder", steps);
-  out.num("sustained_offered_per_s", lo);
-  out.num("sustained_per_s", lo_achieved);
-  out.integer("generator_limited", gen_limited);
   std::string wrong = "[";
   for (std::size_t i = 0; i < gen.wrong_details.size(); ++i) {
     if (i) wrong += ',';

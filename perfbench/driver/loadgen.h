@@ -1,6 +1,6 @@
-// Open-loop performad client: seeded schedule on a fixed grid, latency
-// from each request's due time, generator lag, and a rate ladder for the
-// sustained rate.
+// Open-loop performad client for the traced run's daemon session: a
+// seeded stationary hot/never-seen key mix on a fixed schedule, latency
+// from each request's due time, and the socket round trip of a hit.
 #pragma once
 
 #include <map>
@@ -8,12 +8,9 @@
 
 namespace perfbench {
 
-/// Options (all `--key value`):
-///   socket, refs-dir, workdir, seed, connections, daemon-pid,
-///   ref-rate, ref-seconds, unique-share, p99-limit-ms,
-///   step-seconds, ladder-start, ladder-growth, bisect, max-rate,
-///   trace (0|1), warm-only (1: touch every hot key once and exit)
-/// Prints one JSON object on stdout.
+/// Options (all `--key value`): socket, refs-dir, workdir, seed, and
+/// warm-only (touch every hot key once and exit). Prints "ready", then
+/// one JSON object on stdout.
 int run_loadgen(const std::map<std::string, std::string>& opts);
 
 }  // namespace perfbench

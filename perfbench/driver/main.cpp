@@ -6,7 +6,8 @@
 //   pbdriver cold --workload W --refs-dir D --workdir O --seed N
 //                 --seconds S --trace 0|1 [--setup-only]
 //   pbdriver probe --refs-dir D --workdir O  in-process layer metrics
-//   pbdriver loadgen ...                    open-loop performad client
+//   pbdriver loadgen --socket P --refs-dir D --workdir O --seed N [--warm-only]
+//                                           open-loop performad client
 //
 // `cold` and `probe` print "ready" once set-up is done, then one JSON
 // object as the last line of stdout.

@@ -24,12 +24,12 @@ import os
 import platform
 import random
 import re
-import resource
 import shutil
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from statistics import median
@@ -41,7 +41,7 @@ LIB_BUILD = OUT / "performa"
 DRV_BUILD = OUT / "driver"
 REFS = BENCH / "reference"
 
-WORKLOADS = ("cold_paper", "cold_level_dependent", "daemon_open", "fig_regen")
+WORKLOADS = ("cold_paper", "cold_level_dependent", "fig_regen")
 
 END_TO_END = {
     "setup_s": "s",
@@ -99,24 +99,23 @@ FIG_HARNESSES = ("fig1_mean_ql", "ext9_repair_contention",
 FIG_SCALE = "0.01"
 FIG_PASS_S = 3.0  # nominal pass time; sets the fixed pass count
 
-# daemon_open: open-loop load. The reference rate sits well below the
-# measured capacity; the ladder then searches for the sustained rate.
-DAEMON = {
-    "ref_rate": 1000.0,
-    "ref_share": 0.25,  # reference stream length, as a share of --seconds
-    "unique_share": 0.01,
-    "p99_limit_ms": 25.0,
-    "step_seconds": 1.5,
-    "ladder_start": 4000.0,
-    "ladder_growth": 1.4,
-    "bisect": 2,
-    "setup_starts": 3,
-    "batches": 3,
-    "batch_requests": 10000,
-    "batch_window": 32,  # in flight, below the admission queue bound of 64
-}
-DAEMON_WINDOW = 500
 TAIL_WINDOW = 100  # cold workloads: fewest answers per tail window
+# Start-ups per run for setup_s (the median is reported): a start takes
+# a few ms, and single starts on a shared host scatter by +-30%.
+SETUP_STARTS = 20
+
+
+def cold_env():
+    """Environment of the cold workloads' driver: a width-1 pool unless the
+    caller sets PERFORMA_THREADS, so the gated figures are the solver's
+    serial cost. The library's default width (nproc) is not gated: on a
+    shared host a pool waits on its slowest vCPU at every fan-out, so its
+    wall time swings with whatever other tenants run (see the README's
+    "Thread budget"). Widths 1, 2 and 4 are compared by the traced run
+    (linalg.pool_speedup_*)."""
+    env = dict(os.environ)
+    env.setdefault("PERFORMA_THREADS", "1")
+    return env
 
 
 class BenchError(Exception):
@@ -255,9 +254,9 @@ class Proc:
         return self.p.returncode
 
 
-def run_driver(args, cwd, timeout=170):
+def run_driver(args, cwd, timeout=170, env=None):
     """Run pbdriver; returns (setup seconds to its "ready" line, JSON)."""
-    proc = Proc([driver(), *map(str, args)], cwd)
+    proc = Proc([driver(), *map(str, args)], cwd, env=env)
     try:
         first = proc.p.stdout.readline()
         setup = time.perf_counter() - proc.t0
@@ -282,10 +281,10 @@ def cold_setup(workload, workdir, seed):
     """Start-up time of the driver to its first timed operation, sampled
     several times (the reported figure is the median)."""
     samples = []
-    for _ in range(5):
+    for _ in range(SETUP_STARTS):
         s, _ = run_driver(["cold", "--workload", workload, "--refs-dir", REFS,
                            "--workdir", workdir, "--seed", seed, "--setup-only"],
-                          workdir)
+                          workdir, env=cold_env())
         samples.append(s)
     return samples
 
@@ -295,9 +294,10 @@ def run_cold(workload, seed, seconds, trace, workdir):
     setups = cold_setup(workload, workdir, seed)
     s, d = run_driver(["cold", "--workload", workload, "--refs-dir", REFS,
                        "--workdir", workdir, "--seed", seed, "--seconds",
-                       seconds, "--trace", trace], workdir)
+                       seconds, "--trace", trace], workdir, env=cold_env())
     setups.append(s)
     res["kernel"] = d.get("kernel")
+    res["env"] = {"PERFORMA_THREADS": d["pool_threads"]}
     res["attempted"] = d["answers"]
     res["failed"] = d["failed"]
     res["failures"] = d["failures"]
@@ -326,8 +326,7 @@ def run_cold(workload, seed, seconds, trace, workdir):
     res["notes"].update({"latency_tail_percentile": tails[0][1],
                          "latency_window_samples": size,
                          "latency_windows": len(windows),
-                         "passes": len(d["pass_s"]),
-                         "pool_threads": d["pool_threads"]})
+                         "passes": len(d["pass_s"])})
     return res
 
 
@@ -379,23 +378,12 @@ class Daemon:
                 self.stop()
                 raise BenchError("performad did not become ready")
             time.sleep(0.0005)
-        self.ready_s = time.perf_counter() - self.proc.t0
-
-    @property
-    def pid(self):
-        return self.proc.p.pid
 
     def request(self, obj):
         return json.loads(unix_request(self.sock, json.dumps(obj) + "\n"))
 
     def scrape(self):
         return unix_request(self.sock, "GET /metrics HTTP/1.0\r\n\r\n")
-
-    def peak_rss_mb(self):
-        for line in Path(f"/proc/{self.pid}/status").read_text().splitlines():
-            if line.startswith("VmHWM:"):
-                return int(line.split()[1]) / 1024.0
-        raise BenchError("no VmHWM for performad")
 
     def stop(self):
         rc = self.proc.stop(signal.SIGTERM, timeout=30)
@@ -419,7 +407,7 @@ def prepare_journal(workdir):
     d = Daemon(workdir, str(journal))
     try:
         _, out = run_driver(["loadgen", "--socket", "d.sock", "--refs-dir", REFS,
-                             "--workdir", workdir, "--warm-only", "1"], workdir)
+                             "--workdir", workdir, "--warm-only"], workdir)
     finally:
         d.stop()
     if out.get("warm_failed", 1) != 0:
@@ -427,105 +415,24 @@ def prepare_journal(workdir):
     return journal
 
 
-def daemon_session(workdir, seed, trace, ref_seconds, ladder, starts):
+def daemon_session(workdir, seed):
+    """A short open-loop session against a performad rehydrated from the
+    hot keys' journal: the socket round trip of a hit, then a reference
+    stream of the stationary mix. Returns the generator's result and the
+    daemon's `stats` op and /metrics scrape after the load."""
     journal = prepare_journal(workdir)
-    setups = []
-    daemon = None
-    for i in range(starts):
-        shutil.copyfile(journal, workdir / "run.journal")
-        daemon = Daemon(workdir, "run.journal")
-        setups.append(daemon.ready_s)
-        if i + 1 < starts:
-            daemon.stop()
+    shutil.copyfile(journal, workdir / "run.journal")
+    daemon = Daemon(workdir, "run.journal")
     try:
-        args = ["loadgen", "--socket", "d.sock", "--refs-dir", REFS,
-                "--workdir", workdir, "--seed", seed,
-                "--connections", min(4, nproc()), "--daemon-pid", daemon.pid,
-                "--ref-rate", DAEMON["ref_rate"], "--ref-seconds", ref_seconds,
-                "--unique-share", DAEMON["unique_share"],
-                "--p99-limit-ms", DAEMON["p99_limit_ms"],
-                "--step-seconds", DAEMON["step_seconds"],
-                "--ladder-start", DAEMON["ladder_start"],
-                "--ladder-growth", DAEMON["ladder_growth"],
-                "--bisect", DAEMON["bisect"] if ladder else 0,
-                "--max-rate", 1e6 if ladder else 0, "--trace", trace,
-                "--batches", DAEMON["batches"] if ladder else 0,
-                "--batch-requests", DAEMON["batch_requests"],
-                "--batch-window", DAEMON["batch_window"]]
-        _, out = run_driver(args, workdir)
+        _, out = run_driver(["loadgen", "--socket", "d.sock", "--refs-dir", REFS,
+                             "--workdir", workdir, "--seed", seed], workdir)
         stats = daemon.request({"op": "stats"})
         prom = daemon.scrape()
-        rss = daemon.peak_rss_mb()
     finally:
         rc = daemon.stop()
     if rc != 0:
         raise BenchError(f"performad exited {rc} on drain")
-    return setups, out, stats, prom, rss
-
-
-def run_daemon(seed, seconds, trace, workdir):
-    res = {"notes": {}}
-    ref_seconds = max(1.0, float(seconds) * DAEMON["ref_share"]) * (0.5 if trace else 1.0)
-    setups, out, stats, prom, rss = daemon_session(
-        workdir, seed, trace, ref_seconds, ladder=not trace,
-        starts=DAEMON["setup_starts"])
-    ref = out["reference"]
-    res["kernel"] = out["kernel"]
-    failed = ((ref["requests"] - ref["ok"]) + out["batch_failed"] +
-              sum(p["wrong"] for p in out["ladder"]))
-    res["attempted"] = (ref["requests"] + out["batch_requests"] +
-                        sum(p["requests"] for p in out["ladder"]))
-    res["failed"] = failed
-    res["failures"] = out["wrong_details"] + (
-        [f"reference phase: {ref}"] if ref["requests"] != ref["ok"] else [])
-    if out["generator_limited"] and not trace:
-        res["notes"]["generator_limited"] = True
-    if trace:
-        _, probe = run_driver(["probe", "--refs-dir", REFS, "--workdir", workdir],
-                              workdir)
-        layers = probe["layers"]
-        res["failed"] += probe["failed"]
-        res["failures"] += probe["failures"]
-        socket = socket_layers(out, stats, prom, layers["daemon.hit_us"])
-        layers.update(socket)
-        res["layers"] = layers
-        res["layer_source"] = {k: "workload" if k in socket else "probe"
-                               for k in layers}
-        res["notes"]["trace_file"] = out.get("trace_file")
-        res["notes"]["daemon_stats"] = stats
-        return res
-    # Latency from due time at the reference rate, per window of
-    # DAEMON_WINDOW consecutive requests (p50, and the highest percentile
-    # with 10 samples beyond it); the reported figures are the medians over
-    # the windows, so one host-level stall moves one window, not the run.
-    lat = ref["latency_ms"]
-    windows = [lat[i:i + DAEMON_WINDOW]
-               for i in range(0, len(lat) - DAEMON_WINDOW + 1, DAEMON_WINDOW)]
-    tails = [tail_of(w) for w in windows]
-    tail, pct, n = median([t[0] for t in tails]), tails[0][1], DAEMON_WINDOW
-    res["metrics"] = {
-        "setup_s": median(setups),
-        "wall_s": median(out["batch_s"]),
-        "latency_p50_ms": median([median(w) for w in windows]),
-        "latency_tail_ms": tail,
-        "cpu_s_per_answer": out["daemon_cpu_s"] / ref["requests"],
-        "peak_rss_mb": rss,
-    }
-    res["notes"].update({
-        "latency_tail_percentile": pct, "latency_samples": n,
-        "latency_windows": len(windows),
-        "reference_rate_per_s": DAEMON["ref_rate"],
-        "generator_lag_max_ms": max([ref["lag_max_ms"]] +
-                                    [p["lag_max_ms"] for p in out["ladder"]]),
-        "sustained_rate_per_s": out["sustained_per_s"],
-        "sustained_offered_per_s": out["sustained_offered_per_s"],
-        "reference_phase": {k: v for k, v in ref.items() if k != "latency_ms"},
-        "ladder": [{k: p[k] for k in ("offered_per_s", "achieved_per_s", "p99_ms",
-                                      "overloaded", "windows_ok",
-                                      "generator_limited")} for p in out["ladder"]],
-        "daemon_stats": stats,
-    })
-    return res
+    return out, stats, prom
 
 
 def socket_layers(out, stats, prom, hit_us):
@@ -620,13 +527,31 @@ def fig_env():
 
 
 def run_harness(name, env, workdir):
-    t0 = time.perf_counter()
-    p = subprocess.run([harness(name)], cwd=workdir, env=env,
-                       capture_output=True, text=True, timeout=170)
-    dt = time.perf_counter() - t0
+    """Run one harness to completion; returns (wall seconds, stdout, CPU
+    seconds, peak RSS in MB). CPU and peak RSS are the harness's own, with
+    the runner workers it forked and reaped, from wait4: a high-water mark
+    over this process's children would also cover the build tools."""
+    out_path, err_path = workdir / f"{name}.out", workdir / f"{name}.err"
+    with open(out_path, "w") as out, open(err_path, "w") as err:
+        t0 = time.perf_counter()
+        p = subprocess.Popen([harness(name)], cwd=workdir, env=env,
+                             stdout=out, stderr=err)
+        timer = threading.Timer(170, p.kill)
+        timer.start()
+        try:
+            _, status, ru = os.wait4(p.pid, 0)
+        except BaseException:
+            p.kill()
+            p.wait()
+            raise
+        finally:
+            timer.cancel()
+        dt = time.perf_counter() - t0
+    p.returncode = os.waitstatus_to_exitcode(status)
     if p.returncode != 0:
-        raise BenchError(f"{name} exited {p.returncode}: {p.stderr.strip()[-500:]}")
-    return dt, p.stdout
+        raise BenchError(f"{name} exited {p.returncode}: "
+                         f"{err_path.read_text().strip()[-500:]}")
+    return dt, out_path.read_text(), ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024.0
 
 
 def strip_banner(text):
@@ -649,22 +574,23 @@ def run_fig(seed, seconds, trace, workdir):
     ck_env = dict(env, PERFORMA_CHECKPOINT=str(ck))
     run_harness("fig1_mean_ql", ck_env, workdir)
     setups = [run_harness("fig1_mean_ql", dict(ck_env, PERFORMA_RESUME="1"),
-                          workdir)[0] for _ in range(5)]
+                          workdir)[0] for _ in range(SETUP_STARTS)]
 
     # A fixed number of passes (from --seconds, not from measured time) so
     # every run has the same sample structure; the seed picks the order.
     rng = random.Random(int(seed))
     passes = 1 if trace else max(2, round(float(seconds) / FIG_PASS_S))
     failures, per_harness, pass_s = [], {h: [] for h in FIG_HARNESSES}, []
-    spans = []
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    spans, cpu, peak_rss = [], 0.0, 0.0
     for p in range(passes):
         order = list(FIG_HARNESSES)
         rng.shuffle(order)
         t_pass = time.perf_counter()
         for h in order:
             t0 = time.perf_counter_ns()
-            dt, out = run_harness(h, env, workdir)
+            dt, out, cpu_s, rss = run_harness(h, env, workdir)
+            cpu += cpu_s
+            peak_rss = max(peak_rss, rss)
             spans.append({"name": h, "start_ns": t0, "end_ns": time.perf_counter_ns(),
                           "parent": -1, "rid": p})
             per_harness[h].append(dt)
@@ -673,8 +599,6 @@ def run_fig(seed, seconds, trace, workdir):
             if m:
                 res["kernel"] = m.group(1)
         pass_s.append(time.perf_counter() - t_pass)
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
     res["attempted"] = passes * len(FIG_HARNESSES)
     res["failed"] = len(failures)
     res["failures"] = failures[:20]
@@ -698,7 +622,7 @@ def run_fig(seed, seconds, trace, workdir):
         "latency_p50_ms": 1e3 * median(pass_s),
         "latency_tail_ms": 1e3 * tail,
         "cpu_s_per_answer": cpu / len(pass_s),
-        "peak_rss_mb": after.ru_maxrss / 1024.0,
+        "peak_rss_mb": peak_rss,
     }
     res["notes"].update({"latency_tail_percentile": pct, "latency_samples": n,
                          "harness_s": {h: median(v) for h, v in per_harness.items()}})
@@ -716,21 +640,25 @@ def run_workload(workload, seed, seconds, trace):
     workdir.mkdir(parents=True)
     if workload in ("cold_paper", "cold_level_dependent"):
         res = run_cold(workload, seed, seconds, trace, workdir)
-    elif workload == "daemon_open":
-        res = run_daemon(seed, seconds, trace, workdir)
     else:
         res = run_fig(seed, seconds, trace, workdir)
     if trace:
         layers = res["layers"]
         src = res.setdefault("layer_source", {k: "probe" for k in layers})
-        if "daemon.socket_overhead_us" not in layers:
-            # Workloads that bypass performad: a short reference-rate
-            # session, no ladder.
-            _, out, stats, prom, _ = daemon_session(workdir, seed, 1, 0.5,
-                                                    ladder=False, starts=1)
-            socket = socket_layers(out, stats, prom, layers["daemon.hit_us"])
-            layers.update(socket)
-            src.update({k: "probe" for k in socket})
+        # Every traced run: a short performad session for the layer's
+        # socket-side figures. Any reply that is not a fresh, certified,
+        # correct answer counts as failed.
+        out, stats, prom = daemon_session(workdir, seed)
+        sock = socket_layers(out, stats, prom, layers["daemon.hit_us"])
+        layers.update(sock)
+        src.update({k: "probe" for k in sock})
+        ref = out["reference"]
+        res["attempted"] += ref["requests"]
+        res["failed"] += ref["requests"] - ref["ok"]
+        res["failures"] += out["wrong_details"] + (
+            [f"daemon session: {ref}"] if ref["requests"] != ref["ok"] else [])
+        res["notes"]["daemon_session"] = ref
+        res["notes"]["daemon_trace_file"] = out["trace_file"]
         res["metrics"] = {k: layers[k] for k in PER_LAYER if k in layers}
     return res
 
@@ -747,8 +675,7 @@ def emit(workload, seed, seconds, trace, res):
         json.dumps(record, indent=1, sort_keys=True))
     print(f"# provenance: {json.dumps(prov, sort_keys=True)}")
     for k, v in res.get("notes", {}).items():
-        if k not in ("daemon_stats", "ladder"):
-            print(f"# {k}: {v}")
+        print(f"# {k}: {v}")
     for f in res.get("failures", []):
         print(f"# FAILED: {f}")
     for k, unit in expected.items():
@@ -836,11 +763,6 @@ def main():
     ap.add_argument("--selftest", action="store_true")
     ap.add_argument("--compare", nargs=2, metavar="RESULT_JSON")
     args = ap.parse_args()
-    # Pool width for every child unless the caller pins it: half the
-    # hardware threads. On a shared host a pool as wide as the vCPU count
-    # waits on its slowest vCPU at every fan-out; widths 1/2/4 are
-    # measured separately by the traced run (linalg.pool_speedup_*).
-    os.environ.setdefault("PERFORMA_THREADS", str(max(1, nproc() // 2)))
     try:
         if args.compare:
             compare(*args.compare)
