@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "obs/trace.h"
+
 namespace performa::daemon {
 
 namespace {
@@ -221,32 +223,6 @@ bool parse_json_object(const std::string& text, JsonObject& out,
   return true;
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string json_number(double value) {
   if (!std::isfinite(value)) return "null";
   char buf[40];
@@ -264,14 +240,14 @@ void JsonWriter::key(const std::string& k) {
   if (!first_) out_ += ',';
   first_ = false;
   out_ += '"';
-  out_ += json_escape(k);
+  obs::append_json_escaped(out_, k);
   out_ += "\":";
 }
 
 void JsonWriter::field(const std::string& k, const std::string& value) {
   key(k);
   out_ += '"';
-  out_ += json_escape(value);
+  obs::append_json_escaped(out_, value);
   out_ += '"';
 }
 

@@ -82,9 +82,6 @@ class JsonWriter {
   bool first_ = true;
 };
 
-/// JSON string escaping (shared with tests).
-std::string json_escape(const std::string& text);
-
 /// Render a double as JSON: shortest round-trip decimal; NaN/Inf (not
 /// representable in JSON) become null.
 std::string json_number(double value);

@@ -180,6 +180,15 @@ void gemm_sub(std::size_t m, std::size_t k, std::size_t n, const double* a,
   detail::gemm_tiled(true, m, k, n, a, lda, b, ldb, c, ldc);
 }
 
+void gemv(std::size_t m, std::size_t n, const double* at, std::size_t ldat,
+          const double* x, double* y) {
+  if (kernel_backend() == KernelBackend::kReference) {
+    detail::gemv_ref(m, n, at, ldat, x, y);
+    return;
+  }
+  detail::gemv_tiled(m, n, at, ldat, x, y);
+}
+
 void lu_factor(std::size_t n, double* a, std::size_t lda, std::size_t* piv,
                int* pivot_sign, double* min_pivot) {
   if (kernel_backend() == KernelBackend::kReference ||

@@ -62,6 +62,16 @@ void gemm_sub(std::size_t m, std::size_t k, std::size_t n, const double* a,
               std::size_t lda, const double* b, std::size_t ldb, double* c,
               std::size_t ldc);
 
+/// y = A*x with A m-by-n, passed TRANSPOSED: `at` holds A^T (n-by-m,
+/// leading dimension ldat), so column j of A is the contiguous row
+/// at + j*ldat. y (length m) is overwritten; each y[i] starts from 0.0 and
+/// adds a_ij*x[j] in ascending-j order, one separate multiply and add per
+/// term -- the arithmetic of the original Matrix*Vector loop, so both
+/// backends agree bit for bit. Single-threaded in both backends (the
+/// products it serves are a few hundred rows); x and y must not alias.
+void gemv(std::size_t m, std::size_t n, const double* at, std::size_t ldat,
+          const double* x, double* y);
+
 /// In-place LU with partial pivoting: PA = LU over the n-by-n block at
 /// `a`. Row swaps are applied to whole rows (multiplier columns included),
 /// matching Lu's storage convention. piv[k] receives the row swapped with

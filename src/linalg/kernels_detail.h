@@ -48,6 +48,18 @@ inline void gemm_ref_rows(std::size_t i0, std::size_t i1, std::size_t kk,
   }
 }
 
+/// The original Matrix*Vector loop, reading A through its transpose: one
+/// scalar accumulator per row, terms in ascending j. Defined inline for
+/// the same reason as gemm_ref_rows.
+inline void gemv_ref(std::size_t m, std::size_t n, const double* at,
+                     std::size_t ldat, const double* x, double* y) {
+  for (std::size_t i = 0; i < m; ++i) {
+    double acc = 0.0;
+    for (std::size_t j = 0; j < n; ++j) acc += at[j * ldat + i] * x[j];
+    y[i] = acc;
+  }
+}
+
 // Tiled + threaded entry points (kernels_tiled.cpp). Contracts match the
 // kern:: functions they implement; `sub` selects C -= A*B.
 void gemm_tiled(bool sub, std::size_t m, std::size_t kk, std::size_t n,
@@ -60,6 +72,10 @@ void gemm_ref_threaded(bool sub, std::size_t m, std::size_t kk,
                        std::size_t n, const double* a, std::size_t lda,
                        const double* b, std::size_t ldb, double* c,
                        std::size_t ldc);
+
+/// SIMD matrix-vector product on the transposed operand (kern::gemv).
+void gemv_tiled(std::size_t m, std::size_t n, const double* at,
+                std::size_t ldat, const double* x, double* y);
 
 void lu_factor_tiled(std::size_t n, double* a, std::size_t lda,
                      std::size_t* piv, int* pivot_sign, double* min_pivot);

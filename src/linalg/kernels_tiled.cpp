@@ -209,7 +209,84 @@ void gemm_strips(std::size_t m, std::size_t kk, std::size_t n,
   }
 }
 
+// Matrix-vector micro-kernel on the transposed operand (kern::gemv). The
+// row dimension runs across SIMD lanes: for each column j of A -- the
+// contiguous row at + j*ldat -- every lane adds a_ij*x_j to its own row's
+// accumulator. Each y[i] therefore still sums its terms in ascending j
+// from 0.0, with mul and add as SEPARATE instructions (never FMA), which
+// is the reference loop's exact rounding sequence. One pass updates up to
+// kGemvRows rows; the pass at the bottom edge masks its loads and stores
+// (masked-off lanes never touch memory), so every row shares one path.
+#if defined(__AVX512F__)
+
+constexpr std::size_t kGemvRows = 16;  // 2 zmm accumulators per pass
+
+inline __mmask8 lane_mask(std::size_t rows) {
+  return rows >= 8 ? static_cast<__mmask8>(0xff)
+                   : static_cast<__mmask8>((1u << rows) - 1u);
+}
+
+inline void gemv_pass(std::size_t rows, std::size_t n, const double* at,
+                      std::size_t ldat, const double* x, double* y) {
+  const __mmask8 k0 = lane_mask(rows);
+  const __mmask8 k1 = lane_mask(rows > 8 ? rows - 8 : 0);
+  __m512d acc0 = _mm512_setzero_pd();
+  __m512d acc1 = _mm512_setzero_pd();
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* col = at + j * ldat;
+    const __m512d xj = _mm512_set1_pd(x[j]);
+    acc0 = _mm512_add_pd(acc0,
+                         _mm512_mul_pd(_mm512_maskz_loadu_pd(k0, col), xj));
+    acc1 = _mm512_add_pd(
+        acc1, _mm512_mul_pd(_mm512_maskz_loadu_pd(k1, col + 8), xj));
+  }
+  _mm512_mask_storeu_pd(y, k0, acc0);
+  _mm512_mask_storeu_pd(y + 8, k1, acc1);
+}
+
+#elif defined(__AVX2__)
+
+constexpr std::size_t kGemvRows = 16;  // 4 ymm accumulators per pass
+
+inline __m256i lane_mask(std::size_t rows) {
+  const auto live = static_cast<long long>(std::min<std::size_t>(rows, 4));
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(live),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+inline void gemv_pass(std::size_t rows, std::size_t n, const double* at,
+                      std::size_t ldat, const double* x, double* y) {
+  __m256i k[4];
+  __m256d acc[4];
+  for (std::size_t q = 0; q < 4; ++q) {
+    k[q] = lane_mask(rows > 4 * q ? rows - 4 * q : 0);
+    acc[q] = _mm256_setzero_pd();
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* col = at + j * ldat;
+    const __m256d xj = _mm256_set1_pd(x[j]);
+    for (std::size_t q = 0; q < 4; ++q) {
+      acc[q] = _mm256_add_pd(
+          acc[q], _mm256_mul_pd(_mm256_maskload_pd(col + 4 * q, k[q]), xj));
+    }
+  }
+  for (std::size_t q = 0; q < 4; ++q)
+    _mm256_maskstore_pd(y + 4 * q, k[q], acc[q]);
+}
+
+#endif
+
 }  // namespace
+
+void gemv_tiled(std::size_t m, std::size_t n, const double* at,
+                std::size_t ldat, const double* x, double* y) {
+#if defined(__AVX512F__) || defined(__AVX2__)
+  for (std::size_t i = 0; i < m; i += kGemvRows)
+    gemv_pass(std::min(kGemvRows, m - i), n, at + i, ldat, x, y + i);
+#else
+  gemv_ref(m, n, at, ldat, x, y);
+#endif
+}
 
 void gemm_tiled(bool sub, std::size_t m, std::size_t kk, std::size_t n,
                 const double* a, std::size_t lda, const double* b,

@@ -128,12 +128,11 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
 
 Vector operator*(const Matrix& m, const Vector& v) {
   PERFORMA_EXPECTS(m.cols() == v.size(), "Matrix*Vector: shape mismatch");
-  Vector out(m.rows(), 0.0);
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < m.cols(); ++j) acc += m(i, j) * v[j];
-    out[i] = acc;
-  }
+  // The gemv kernel reads A through its transpose (column j contiguous).
+  const Matrix mt = m.transposed();
+  Vector out(m.rows());
+  kern::gemv(m.rows(), m.cols(), mt.data().data(), mt.cols(), v.data(),
+             out.data());
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "medist/me_dist.h"
 
 #include <cmath>
+#include <ostream>
 #include <utility>
 
 #include "linalg/expm.h"
@@ -117,6 +118,10 @@ MeDistribution hyperexponential_dist(const Vector& probs, const Vector& rates,
     PERFORMA_EXPECTS(r > 0.0, "hyperexponential_dist: rates must be positive");
   }
   return MeDistribution(probs, Matrix::diag(rates), std::move(name));
+}
+
+std::ostream& operator<<(std::ostream& os, const MeDistribution& d) {
+  return os << d.name() << " order=" << d.dim() << " mean=" << d.mean();
 }
 
 }  // namespace performa::medist

@@ -13,6 +13,7 @@
 // and non-positive off-diagonal entries.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 
 #include "linalg/matrix.h"
@@ -84,5 +85,9 @@ MeDistribution erlang_dist(unsigned k, double mean);
 /// exponential phase of rate rates[i]. probs must sum to 1.
 MeDistribution hyperexponential_dist(const Vector& probs, const Vector& rates,
                                      std::string name = "hyperexp");
+
+/// One-line summary "<name> order=<dim> mean=<mean>" for diagnostics and
+/// test names; prints no addresses, so the text is reproducible.
+std::ostream& operator<<(std::ostream& os, const MeDistribution& d);
 
 }  // namespace performa::medist

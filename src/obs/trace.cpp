@@ -48,6 +48,12 @@ void append_escaped(std::string& out, const std::string& value) {
       case '\\':
         out += "\\\\";
         break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
       case '\n':
         out += "\\n";
         break;

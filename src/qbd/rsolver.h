@@ -89,9 +89,29 @@ double residual_scale(const QbdBlocks& blocks) noexcept;
 /// graded by the trust thresholds.
 double r_residual_norm(const QbdBlocks& blocks, const Matrix& r);
 
-/// Spectral radius estimate of a non-negative matrix via power iteration;
-/// for R this is the caudal characteristic (geometric decay rate) of the
-/// queue-length distribution.
+/// Spectral radius estimate of a non-negative matrix: a few rescaled
+/// squarings of the operand, then power iteration on the result (the
+/// power steps run on the kern::gemv kernel). For R this is the caudal
+/// characteristic (geometric decay rate) of the queue-length
+/// distribution. solve_r does not call it; QbdSolution computes it once
+/// per answer (decay_rate()).
+///
+/// Known accuracy defect, documented rather than fixed because the fix
+/// moves released values: the estimate can stop well short of `tol`.
+/// Against a Collatz-Wielandt bracket it is off by
+///   * 1.5e-6 at N=200 T=1 rho=0.7 (lumped TPT): the absolute stop test
+///     diff < tol*max(1, lambda) is applied to the rescaled
+///     lambda(b) = 1.4e-8, so it ends after 69 steps where about 170
+///     are needed to get within 1e-12;
+///   * 1.1e-7 to 1.6e-7 at Fig. 6 N=5 T=10 rho=0.92 (HYP-2): the
+///     20000-step cap ends it; uncapped, the stop test would fire only
+///     after about 72k steps;
+///   * 6e-9 at Fig. 1 T=10 rho=0.9: the same cap (uncapped: about 31k
+///     steps).
+/// The fix is a relative stop test plus shift-invert iteration on
+/// (I-R)^{-1}, which converges at rate (1-eta)/(1-lambda_2). It moves two
+/// perfbench reference answers by more than their 1e-8 check, so it waits
+/// for a re-cut of those references (DESIGN.md section 11).
 double spectral_radius(const Matrix& m, double tol = 1e-12,
                        unsigned max_iter = 20000);
 

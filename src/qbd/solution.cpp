@@ -155,6 +155,8 @@ QbdSolution::QbdSolution(const QbdBlocks& blocks, const SolverOptions& opts) {
 
   assemble(blocks);
   if (opts.trust.enabled) certify(blocks, opts);
+  // sp(R) once per answer, on the R that certification released.
+  report_.spectral_radius = spectral_radius(r_);
 }
 
 QbdSolution::QbdSolution(Matrix r, Vector pi0, Vector pi1,
@@ -170,7 +172,8 @@ QbdSolution::QbdSolution(Matrix r, Vector pi0, Vector pi1,
   linalg::check_finite(r_, "QbdSolution: rehydrated R");
   linalg::check_finite(pi0_, "QbdSolution: rehydrated pi0");
   linalg::check_finite(pi1_, "QbdSolution: rehydrated pi1");
-  if (spectral_radius(r_) >= 1.0) {
+  report_.spectral_radius = spectral_radius(r_);
+  if (report_.spectral_radius >= 1.0) {
     throw NumericalError(
         "QbdSolution: rehydrated R has spectral radius >= 1 (corrupt or "
         "mismatched journal entry)");
@@ -292,6 +295,11 @@ const TrustReport& QbdSolution::verify(const QbdBlocks& blocks,
 }
 
 void QbdSolution::refine(const QbdBlocks& blocks) {
+  newton_refine(blocks);
+  report_.spectral_radius = spectral_radius(r_);
+}
+
+void QbdSolution::newton_refine(const QbdBlocks& blocks) {
   PERFORMA_SPAN("qbd.solution.refine");
   static obs::Counter& refinements = obs::counter("qbd.trust.refinements");
   refinements.add();
@@ -358,9 +366,10 @@ void QbdSolution::certify(const QbdBlocks& blocks, const SolverOptions& opts) {
     std::string trail;
     bool out_of_budget = false;
 
-    // Rung 1: one self-healing refinement pass.
+    // Rung 1: one self-healing refinement pass. (The constructor computes
+    // sp(R) once the ladder has settled, so no rung computes it.)
     try {
-      refine(blocks);
+      newton_refine(blocks);
       ++refinements;
       trail = "refine";
       verify(blocks, policy);
@@ -534,8 +543,6 @@ double QbdSolution::variance() const {
   const double mean = mean_queue_length();
   return second_moment() - mean * mean;
 }
-
-double QbdSolution::decay_rate() const { return spectral_radius(r_); }
 
 Vector QbdSolution::phase_marginal_busy() const {
   return pi1_ * i_minus_r_inv_;

@@ -68,8 +68,9 @@ class QbdSolution {
 
   /// Geometric decay rate of the queue-length distribution: sp(R)
   /// (the caudal characteristic eta, Pr(Q = k) ~ c eta^k for large k
-  /// away from blow-up regions).
-  double decay_rate() const;
+  /// away from blow-up regions). Computed once per released R -- by the
+  /// constructors and refine() -- and equal to report().spectral_radius.
+  double decay_rate() const noexcept { return report_.spectral_radius; }
 
   /// Marginal distribution over service phases (sums the level
   /// expansion); equals the stationary phase vector of the modulating
@@ -100,12 +101,15 @@ class QbdSolution {
 
   /// One self-healing pass: a one-sided Newton step on R from the current
   /// iterate plus a fresh boundary solve (with one step of iterative
-  /// refinement). Leaves the trust report untouched -- callers re-verify.
+  /// refinement), then sp(R) of the new R. Leaves the trust report
+  /// untouched -- callers re-verify.
   void refine(const QbdBlocks& blocks);
 
  private:
   /// (I-R)^{-1} + boundary solve + range clips, from the current r_.
   void assemble(const QbdBlocks& blocks);
+  /// refine() without the sp(R) update (the escalation ladder's rung 1).
+  void newton_refine(const QbdBlocks& blocks);
   /// Grade the current state, reusing `r_resid` as the (already scaled)
   /// R-residual instead of recomputing it.
   void run_checks(const QbdBlocks& blocks, const TrustPolicy& policy,

@@ -1,8 +1,22 @@
 #include "qbd/solve_report.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace performa::qbd {
+
+namespace {
+
+// ", sp(R)=<value>" with `precision` digits, or nothing while sp(R) is
+// unset (see SolveReport::spectral_radius).
+std::string sp_field(double sp, int precision) {
+  if (std::isnan(sp)) return {};
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "sp(R)=%.*f", precision, sp);
+  return buf;
+}
+
+}  // namespace
 
 const char* to_string(SolveAlgorithm a) noexcept {
   switch (a) {
@@ -26,9 +40,14 @@ std::string SolveReport::to_string() const {
                                     : "FAILED",
                 qbd::to_string(winner), iterations);
   out += line;
-  std::snprintf(line, sizeof line,
-                "  defect=%.3e (raw %.3e)  sp(R)=%.6f  cond~%.3e  rho=%.6f\n",
-                final_defect, final_defect_raw, spectral_radius, condition,
+  std::snprintf(line, sizeof line, "  defect=%.3e (raw %.3e)  ", final_defect,
+                final_defect_raw);
+  out += line;
+  if (const std::string sp = sp_field(spectral_radius, 6); !sp.empty()) {
+    out += sp;
+    out += "  ";
+  }
+  std::snprintf(line, sizeof line, "cond~%.3e  rho=%.6f\n", condition,
                 utilization);
   out += line;
   if (!query_id.empty()) {
@@ -56,14 +75,19 @@ std::string SolveReport::summary() const {
   // multi-line report.
   char line[224];
   std::snprintf(line, sizeof line,
-                "%s: %s after %u its over %zu attempt(s), defect=%.3e, "
-                "sp(R)=%.4f, rho=%.4f",
+                "%s: %s after %u its over %zu attempt(s), defect=%.3e, ",
                 converged          ? "converged"
                 : deadline_exceeded ? "deadline exceeded"
                                     : "solver failed",
                 qbd::to_string(winner), iterations, attempts.size(),
-                final_defect, spectral_radius, utilization);
+                final_defect);
   std::string out = line;
+  if (const std::string sp = sp_field(spectral_radius, 4); !sp.empty()) {
+    out += sp;
+    out += ", ";
+  }
+  std::snprintf(line, sizeof line, "rho=%.4f", utilization);
+  out += line;
   out += " [";
   for (std::size_t i = 0; i < attempts.size(); ++i) {
     const SolveAttempt& a = attempts[i];

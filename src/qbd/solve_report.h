@@ -6,6 +6,7 @@
 // CLI) can print *why* a solve died instead of a bare one-line message.
 #pragma once
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,10 @@ struct SolveReport {
   /// The raw (unscaled) residual norm, kept for diagnostics: defect *
   /// block scale, in the model's rate units.
   double final_defect_raw = 0.0;
-  double spectral_radius = 0.0;  ///< sp(R) estimate (caudal characteristic)
+  /// sp(R) estimate (caudal characteristic). NaN until a QbdSolution
+  /// computes it: solve_r and LevelDependentSolution leave it unset, and
+  /// the renderings below then omit it.
+  double spectral_radius = std::numeric_limits<double>::quiet_NaN();
   double condition = 0.0;        ///< kappa_1 estimate of the final linear solve
   double utilization = 0.0;      ///< mean-drift rho from the pre-check
   /// Query id active when the solve started (obs::current_query_id());

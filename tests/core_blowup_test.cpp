@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
 #include "linalg/errors.h"
 #include "test_util.h"
 
@@ -149,17 +151,20 @@ TEST(Blowup, DeltaOneDegeneratesToSingleRegionlessLadder) {
 
 // Property: region boundaries partition (0,1) consistently with
 // blowup_region across a parameter sweep.
+// gtest prints a parameter without operator<< as its raw bytes, and the
+// CTest name embeds that text, so the case must have no padding bytes.
 struct RegionCase {
-  unsigned n;
+  std::size_t n;
   double delta;
   double a;
 };
+static_assert(sizeof(RegionCase) == sizeof(std::size_t) + 2 * sizeof(double));
 
 class RegionProperty : public ::testing::TestWithParam<RegionCase> {};
 
 TEST_P(RegionProperty, BoundariesMatchRegionIndex) {
   const auto [n, delta, a] = GetParam();
-  const BlowupParams p{n, 2.0, delta, a};
+  const BlowupParams p{static_cast<unsigned>(n), 2.0, delta, a};
   const auto rho_bounds = blowup_utilizations(p);  // descending rho_1..rho_N
   for (double rho = 0.02; rho < 1.0; rho += 0.02) {
     const unsigned region = blowup_region(p, rho);

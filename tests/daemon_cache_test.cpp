@@ -128,6 +128,20 @@ TEST(JournalRecordTest, RoundTripsBitExactly) {
   EXPECT_EQ(a.tail(40), b.tail(40));
 }
 
+TEST(JournalRecordTest, DecayRateSurvivesTheRoundTrip) {
+  // The journal stores R, not sp(R): the rehydrating constructor computes
+  // it once (for its sp(R) < 1 check) and serves it from then on.
+  const CachedSolution entry = make_entry(0.8);
+  std::string key;
+  CachedSolution decoded;
+  ASSERT_TRUE(decode_journal_record(encode_journal_record("k", entry, 0),
+                                    key, decoded));
+  const qbd::QbdSolution& b = *decoded.solution;
+  EXPECT_EQ(b.decay_rate(), entry.solution->decay_rate());
+  EXPECT_EQ(b.decay_rate(), qbd::spectral_radius(b.r()));
+  EXPECT_EQ(b.decay_rate(), b.report().spectral_radius);
+}
+
 TEST(JournalRecordTest, CorruptedRecordsRejected) {
   const CachedSolution entry = make_entry(0.5);
   std::string record = encode_journal_record("k", entry, 0);

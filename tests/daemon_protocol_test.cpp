@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "daemon/jsonio.h"
 #include "daemon/query.h"
+#include "obs/trace.h"
 
 namespace performa::daemon {
 namespace {
@@ -112,6 +116,38 @@ TEST(JsonIoTest, WriterEscapesStrings) {
   const std::string line = std::move(w).str();
   const JsonObject obj = parse_ok(line);
   EXPECT_EQ(obj.string("s", ""), "a\"b\\c\nd");
+}
+
+TEST(JsonIoTest, EscapeTableRoundTripsThroughTheParser) {
+  // One escaper serves the wire protocol, the structured log and the
+  // trace: every control byte, '"' and '\\' gets its JSON short form
+  // where one exists and \u00XX otherwise, and parses back to itself.
+  std::vector<std::pair<char, std::string>> table;
+  for (int b = 0; b < 0x20; ++b) {
+    char u[8];
+    std::snprintf(u, sizeof u, "\\u%04x", b);
+    table.emplace_back(static_cast<char>(b), u);
+  }
+  table[0x08].second = "\\b";
+  table[0x09].second = "\\t";
+  table[0x0a].second = "\\n";
+  table[0x0c].second = "\\f";
+  table[0x0d].second = "\\r";
+  table.emplace_back('"', "\\\"");
+  table.emplace_back('\\', "\\\\");
+  for (const auto& [byte, escaped] : table) {
+    SCOPED_TRACE("byte " + std::to_string(static_cast<int>(byte)));
+    const std::string raw = std::string("a") + byte + "z";
+    std::string out;
+    obs::append_json_escaped(out, raw);
+    EXPECT_EQ(out, "a" + escaped + "z");
+    JsonWriter w;
+    w.field(raw, raw);
+    const JsonObject obj = parse_ok(std::move(w).str());
+    ASSERT_EQ(obj.fields().size(), 1u);
+    EXPECT_EQ(obj.fields()[0].first, raw);
+    EXPECT_EQ(obj.string(raw, ""), raw);
+  }
 }
 
 TEST(JsonIoTest, WriterArraysParseElsewhere) {

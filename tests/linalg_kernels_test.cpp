@@ -8,6 +8,8 @@
 //     compare equal) across sizes 1..97 -- prime and odd sizes exercise
 //     every tile-remainder path -- and across sizes >= 128 where the
 //     panel/GEMM LU formulation actually engages.
+//   * GEMV (the power stage of qbd::spectral_radius) agrees to 0 ulps:
+//     both backends replay the original Matrix*Vector loop's rounding.
 //   * Pivot decisions are *identical*, not merely close: the blocked LU
 //     must choose the reference's permutation.
 //   * Both backends raise the same error taxonomy (InvalidArgument,
@@ -175,6 +177,76 @@ TEST(KernelEquivalence, GemmSubMatchesReference) {
                      c_blk.data().data(), n);
     }
     EXPECT_LE(MaxUlpDiff(c_ref, c_blk), 8u);
+  }
+}
+
+// Adversarial gemv operand: magnitudes spread over 1e-150..1e150 with
+// random signs (so sums cancel and products land anywhere from subnormal
+// to ~1e300, still finite), plus exact zeros and subnormal entries.
+double AdversarialEntry(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> mant(1.0, 10.0);
+  std::uniform_int_distribution<int> expo(-150, 150);
+  switch (rng() % 8) {
+    case 0:
+      return 0.0;
+    case 1:
+      return (rng() % 2 ? -1.0 : 1.0) * 4.9e-320 * mant(rng);  // subnormal
+    default:
+      return (rng() % 2 ? -1.0 : 1.0) * mant(rng) *
+             std::pow(10.0, expo(rng));
+  }
+}
+
+// y = A*x through kern::gemv on `backend`. A^T is stored with a padded
+// leading dimension whose padding is NaN, and y carries a sentinel past
+// its end: a kernel that reads padding or writes past row m shows up.
+Vector GemvWith(KernelBackend backend, const Matrix& a, const Vector& x) {
+  BackendGuard guard(backend);
+  const std::size_t m = a.rows(), n = a.cols(), ld = m + 5;
+  std::vector<double> at(n * ld, std::numeric_limits<double>::quiet_NaN());
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) at[j * ld + i] = a(i, j);
+  Vector y(m + 1, 42.0);
+  kern::gemv(m, n, at.data(), ld, x.data(), y.data());
+  EXPECT_EQ(y[m], 42.0) << "gemv wrote past row m";
+  y.pop_back();
+  return y;
+}
+
+TEST(KernelEquivalence, GemvMatchesReference) {
+  // 0 ulps: both backends sum each row in ascending j with a separate
+  // multiply and add, exactly like the original Matrix*Vector loop
+  // (recomputed inline here). Sizes straddle the 8-lane vectors and the
+  // 16-row pass, up to the cold workloads' phase counts.
+  std::mt19937_64 rng(2024);
+  for (const std::size_t n : {1u, 2u, 7u, 15u, 16u, 17u, 66u, 165u, 201u,
+                              231u}) {
+    for (const std::size_t m : {n, n + 9}) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n));
+      Matrix a(m, n);
+      for (double& v : a.data()) v = AdversarialEntry(rng);
+      Vector x(n);
+      for (double& v : x) v = AdversarialEntry(rng);
+      for (const Vector& xv : {x, Vector(n, 0.0)}) {
+        Vector original(m);
+        for (std::size_t i = 0; i < m; ++i) {
+          double acc = 0.0;
+          for (std::size_t j = 0; j < n; ++j) acc += a(i, j) * xv[j];
+          original[i] = acc;
+        }
+        const Vector ref = GemvWith(KernelBackend::kReference, a, xv);
+        const Vector blk = GemvWith(KernelBackend::kBlocked, a, xv);
+        for (std::size_t i = 0; i < m; ++i) {
+          ASSERT_EQ(UlpDistance(original[i], ref[i]), 0u) << "row " << i;
+          ASSERT_EQ(UlpDistance(ref[i], blk[i]), 0u) << "row " << i;
+        }
+        for (const KernelBackend b :
+             {KernelBackend::kReference, KernelBackend::kBlocked}) {
+          BackendGuard guard(b);
+          EXPECT_EQ((a * xv), ref) << to_string(b);
+        }
+      }
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 
 #include "test_util.h"
 
@@ -123,17 +124,20 @@ TEST(Tpt, RangeGrowsGeometrically) {
 }
 
 // Property sweep over (T, alpha, theta): construction invariants.
+// gtest prints a parameter without operator<< as its raw bytes, and the
+// CTest name embeds that text, so the case must have no padding bytes.
 struct TptCase {
-  unsigned t;
+  std::size_t t;
   double alpha;
   double theta;
 };
+static_assert(sizeof(TptCase) == sizeof(std::size_t) + 2 * sizeof(double));
 
 class TptProperty : public ::testing::TestWithParam<TptCase> {};
 
 TEST_P(TptProperty, ConstructionInvariants) {
   const auto [t, alpha, theta] = GetParam();
-  const TptSpec spec{t, alpha, theta, 3.0};
+  const TptSpec spec{static_cast<unsigned>(t), alpha, theta, 3.0};
   const MeDistribution d = make_tpt(spec);
   EXPECT_EQ(d.dim(), t);
   EXPECT_NEAR(d.mean(), 3.0, 1e-8);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "core/mm1.h"
 #include "medist/tpt.h"
 #include "test_util.h"
@@ -44,6 +47,16 @@ TEST(LevelDependent, MmcSpecialCase) {
 
   ExpectClose(sol.mean_queue_length(), expected, 1e-6, "E[N] M/M/2");
   ExpectClose(sol.probability_empty(), p0, 1e-6, "P0 M/M/2");
+}
+
+TEST(LevelDependent, ComputesNoSpectralRadius) {
+  // sp(R) is computed once per QbdSolution answer; the level-dependent
+  // solution computes none, and its report's summary omits it.
+  const LevelDependentSolution sol(
+      cluster_level_dependent_blocks(PaperCluster(2, 2), 2.0, 0.2, 2.0));
+  EXPECT_TRUE(std::isnan(sol.report().spectral_radius));
+  EXPECT_EQ(sol.report().summary().find("sp(R)"), std::string::npos)
+      << sol.report().summary();
 }
 
 TEST(LevelDependent, MoreConservativeThanLoadIndependent) {

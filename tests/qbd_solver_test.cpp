@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <string>
+
 #include "linalg/ctmc.h"
+#include "linalg/kernels.h"
 #include "map/lumped_aggregate.h"
 #include "medist/tpt.h"
 #include "qbd/solution.h"
@@ -86,6 +91,62 @@ TEST(RSolver, SpectralRadiusUtilities) {
   EXPECT_NEAR(spectral_radius(Matrix{{0.0, 0.25}, {0.25, 0.0}}), 0.25, 1e-9);
   EXPECT_EQ(spectral_radius(Matrix(3, 3, 0.0)), 0.0);
   EXPECT_THROW(spectral_radius(Matrix(2, 3)), InvalidArgument);
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(RSolver, SpectralRadiusSameBitsOnEitherKernelBackend) {
+  // Fig. 1's TPT T=10 cluster at rho = 0.9: sp(R) is near 1, so the power
+  // stage runs thousands of gemv steps, every one of which must round
+  // identically on both backends.
+  const auto mmpp = PaperClusterMmpp(10, 2);
+  const Matrix r = solve_r(m_mmpp_1(mmpp, 0.9 * mmpp.mean_rate())).r;
+  const linalg::KernelBackend saved = linalg::kernel_backend();
+  linalg::set_kernel_backend(linalg::KernelBackend::kReference);
+  const double sp_ref = spectral_radius(r);
+  linalg::set_kernel_backend(linalg::KernelBackend::kBlocked);
+  const double sp_blk = spectral_radius(r);
+  linalg::set_kernel_backend(saved);
+  EXPECT_TRUE(SameBits(sp_ref, sp_blk)) << sp_ref << " vs " << sp_blk;
+  EXPECT_GT(sp_ref, 0.9);
+  EXPECT_LT(sp_ref, 1.0);
+}
+
+TEST(QbdSolution, DecayRateIsTheOneSpectralRadiusOfItsR) {
+  const auto blocks = m_mmpp_1(PaperClusterMmpp(5, 2), 2.2);
+
+  // solve_r leaves sp(R) to the solution, and its summary says nothing.
+  const RSolveResult rs = solve_r(blocks);
+  EXPECT_TRUE(std::isnan(rs.report.spectral_radius));
+  EXPECT_EQ(rs.report.summary().find("sp(R)"), std::string::npos)
+      << rs.report.summary();
+
+  const QbdSolution sol(blocks);
+  EXPECT_TRUE(SameBits(sol.decay_rate(), spectral_radius(sol.r())));
+  EXPECT_TRUE(SameBits(sol.decay_rate(), sol.report().spectral_radius));
+  EXPECT_NE(sol.report().summary().find("sp(R)="), std::string::npos);
+
+  // refine() replaces R, so it recomputes sp(R). Start from a rotted R
+  // (as a damaged journal entry could carry) so the Newton step moves it.
+  Matrix rotted = sol.r();
+  for (double& x : rotted.data()) x *= 1.0 + 1e-9;
+  QbdSolution repaired(std::move(rotted), sol.pi0(), sol.pi1());
+  const double rotted_sp = repaired.decay_rate();
+  repaired.refine(blocks);
+  EXPECT_NE(repaired.decay_rate(), rotted_sp);
+  EXPECT_TRUE(SameBits(repaired.decay_rate(), spectral_radius(repaired.r())));
+  EXPECT_TRUE(
+      SameBits(repaired.decay_rate(), repaired.report().spectral_radius));
+
+  // So does a released R that came out of the escalation ladder (an
+  // unreachable certified threshold runs every rung).
+  SolverOptions opts;
+  opts.trust.r_residual_certified = 1e-30;
+  const QbdSolution healed(blocks, opts);
+  ASSERT_NE(healed.trust().healing.find("refine"), std::string::npos);
+  EXPECT_TRUE(SameBits(healed.decay_rate(), spectral_radius(healed.r())));
+  EXPECT_TRUE(
+      SameBits(healed.decay_rate(), healed.report().spectral_radius));
 }
 
 TEST(QbdSolution, PhaseMarginalMatchesModulatingStationary) {
