@@ -185,24 +185,11 @@ void reopen_log_in_child(const std::string& fragment_path) {
 }
 
 std::size_t merge_log_fragment(const std::string& fragment_path) {
-  std::FILE* in = std::fopen(fragment_path.c_str(), "r");
-  if (in == nullptr) return 0;  // worker died before its first line
-  std::string content;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) content.append(buf, n);
-  std::fclose(in);
-  ::unlink(fragment_path.c_str());
-
+  const std::vector<std::string> lines = take_fragment_lines(fragment_path);
   std::size_t merged = 0;
   LogRegistry& reg = log_registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
-  std::size_t start = 0;
-  while (start < content.size()) {
-    std::size_t nl = content.find('\n', start);
-    if (nl == std::string::npos) break;  // torn tail: drop
-    const std::string line = content.substr(start, nl - start);
-    start = nl + 1;
+  for (const std::string& line : lines) {
     if (!is_complete_log_record(line)) continue;
     const std::string out = line + '\n';
     write_all_fd(reg.fd, out.data(), out.size());

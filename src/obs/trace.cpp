@@ -251,27 +251,30 @@ void reopen_trace_in_child(const std::string& fragment_path) {
                fragment_path);
 }
 
-std::size_t merge_trace_fragment(const std::string& fragment_path) {
+std::vector<std::string> take_fragment_lines(const std::string& fragment_path) {
+  std::vector<std::string> lines;
   std::FILE* in = std::fopen(fragment_path.c_str(), "r");
-  if (in == nullptr) return 0;  // worker died before its first flush
+  if (in == nullptr) return lines;  // worker died before its first flush
   std::string content;
   char buf[4096];
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) content.append(buf, n);
   std::fclose(in);
   ::unlink(fragment_path.c_str());
+  for (std::size_t start = 0, nl;
+       (nl = content.find('\n', start)) != std::string::npos; start = nl + 1) {
+    lines.push_back(content.substr(start, nl - start));
+  }
+  return lines;
+}
 
+std::size_t merge_trace_fragment(const std::string& fragment_path) {
+  std::vector<std::string> lines = take_fragment_lines(fragment_path);
   std::size_t merged = 0;
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
-  std::size_t start = 0;
-  while (start < content.size()) {
-    std::size_t nl = content.find('\n', start);
-    const bool torn = nl == std::string::npos;
-    std::string line =
-        content.substr(start, torn ? std::string::npos : nl - start);
-    start = torn ? content.size() : nl + 1;
-    if (!is_complete_record(line)) continue;  // `[` header or torn tail
+  for (std::string& line : lines) {
+    if (!is_complete_record(line)) continue;  // the `[` header
     if (line.back() != ',') line += ',';
     if (reg.sink != nullptr) {
       reg.sink->write_raw(line);

@@ -103,6 +103,12 @@ void reopen_trace_in_child(const std::string& fragment_path);
 /// worker killed before its first flush): merges nothing.
 std::size_t merge_trace_fragment(const std::string& fragment_path);
 
+/// Read a worker's fragment file, unlink it, and return its
+/// newline-terminated lines without the newlines; a torn final line is
+/// dropped. Empty when the fragment does not exist. The one reader behind
+/// merge_trace_fragment and merge_log_fragment.
+std::vector<std::string> take_fragment_lines(const std::string& fragment_path);
+
 /// Install a file sink from $PERFORMA_TRACE when set and tracing is not
 /// already configured. Returns true when tracing is (now) enabled.
 bool init_trace_from_env();

@@ -1,260 +1,56 @@
 #include "qbd/level_dependent.h"
 
 #include <algorithm>
-#include <cmath>
-#include <string>
-
-#include "linalg/compensated.h"
-#include "linalg/lu.h"
 
 namespace performa::qbd {
 
-double LevelDependentSolution::solve(const LevelDependentBlocks& blocks,
-                                     const SolverOptions& opts) {
-  PERFORMA_EXPECTS(!blocks.service.empty(),
-                   "LevelDependentSolution: need at least one service level");
-  PERFORMA_EXPECTS(blocks.lambda > 0.0,
-                   "LevelDependentSolution: lambda must be positive");
-  const std::size_t m = blocks.phase_dim();
-  const std::size_t c_levels = blocks.service.size();  // C
-  for (const Matrix& svc : blocks.service) {
-    PERFORMA_EXPECTS(svc.rows() == m && svc.cols() == m,
-                     "LevelDependentSolution: service block shape mismatch");
-  }
+namespace {
 
-  // R from the homogeneous part (levels >= C).
-  QbdBlocks homogeneous;
-  const Matrix lam = blocks.lambda * Matrix::identity(m);
-  const Matrix& m_top = blocks.service.back();
-  homogeneous.b00 = blocks.q - lam;  // unused by solve_r but validated
-  homogeneous.b01 = lam;
-  homogeneous.b10 = m_top;
-  homogeneous.a0 = lam;
-  homogeneous.a1 = blocks.q - lam - m_top;
-  homogeneous.a2 = m_top;
-  const RSolveResult rres = solve_r(homogeneous, opts);
-  r_ = rres.r;
-  report_ = rres.report;
-  i_minus_r_inv_ = linalg::inverse(Matrix::identity(m) - r_);
-
-  // Assemble the boundary system over y = [pi_0 .. pi_C] (row vector).
-  const std::size_t n_unknowns = (c_levels + 1) * m;
-  Matrix sys(n_unknowns, n_unknowns, 0.0);
-  Vector rhs(n_unknowns, 0.0);
-
-  // add_block(k, j, B): equation block j gains contribution pi_k * B.
-  auto add_block = [&](std::size_t k, std::size_t j, const Matrix& b) {
-    for (std::size_t col = 0; col < m; ++col)
-      for (std::size_t i = 0; i < m; ++i) sys(j * m + col, k * m + i) += b(i, col);
-  };
-
-  const Matrix local0 = blocks.q - lam;
-  add_block(0, 0, local0);
-  add_block(1, 0, blocks.service[0]);
-  for (std::size_t j = 1; j + 1 <= c_levels; ++j) {
-    add_block(j - 1, j, lam);
-    add_block(j, j, blocks.q - lam - blocks.service[j - 1]);
-    add_block(j + 1, j, blocks.service[j]);
-  }
-  // Level C equation: pi_{C-1} lambda + pi_C (Q - lam - M_C + R M_C) = 0.
-  add_block(c_levels - 1, c_levels, lam);
-  add_block(c_levels, c_levels, blocks.q - lam - m_top + r_ * m_top);
-
-  // Keep the balance system before the normalization row overwrites
-  // equation component 0: that component is not enforced by the solve, so
-  // grading the solution against the full original system measures
-  // genuine quality, not how well LU inverted its own matrix.
-  const Matrix balance = sys;
-
-  // Replace equation component (0,0) with the normalization row.
-  const Vector norm_tail = i_minus_r_inv_ * linalg::ones(m);
-  for (std::size_t i = 0; i < n_unknowns; ++i) sys(0, i) = 0.0;
-  for (std::size_t k = 0; k < c_levels; ++k)
-    for (std::size_t i = 0; i < m; ++i) sys(0, k * m + i) = 1.0;
-  for (std::size_t i = 0; i < m; ++i) sys(0, c_levels * m + i) = norm_tail[i];
-  rhs[0] = 1.0;
-
-  const Vector y = linalg::Lu(sys).solve(rhs);
-
-  // Relative defect of the pre-normalization balance equations, evaluated
-  // in compensated long double.
-  long double worst = 0.0L;
-  for (std::size_t i = 0; i < n_unknowns; ++i) {
-    linalg::CompensatedSum<long double> acc;
-    for (std::size_t j = 0; j < n_unknowns; ++j) {
-      acc.add(static_cast<long double>(balance(i, j)) * y[j]);
+/// service[k-1] = diag over states s of the level-k rate with
+/// `operational[s]` fully operational servers (see
+/// cluster_level_dependent_blocks).
+LevelDependentBlocks load_dependent_blocks(
+    const Matrix& q, unsigned n, double nu_p, double delta,
+    const std::vector<unsigned>& operational, double lambda) {
+  PERFORMA_EXPECTS(nu_p > 0.0, "level-dependent blocks: nu_p > 0");
+  PERFORMA_EXPECTS(delta >= 0.0 && delta <= 1.0,
+                   "level-dependent blocks: delta in [0,1]");
+  LevelDependentBlocks blocks;
+  blocks.q = q;
+  blocks.lambda = lambda;
+  blocks.service.reserve(n);
+  for (unsigned k = 1; k <= n; ++k) {
+    Vector rates(operational.size(), 0.0);
+    for (std::size_t s = 0; s < rates.size(); ++s) {
+      const unsigned busy_up = std::min(k, operational[s]);
+      const unsigned busy_down = std::min(k - busy_up, n - operational[s]);
+      rates[s] = nu_p * busy_up + delta * nu_p * busy_down;
     }
-    worst = std::max(worst, std::abs(acc.value()));
+    blocks.service.push_back(Matrix::diag(rates));
   }
-  const double scale =
-      std::max(linalg::norm_inf(balance) * linalg::norm_inf(y), 1e-300);
-  boundary_defect_ = static_cast<double>(worst) / scale;
-
-  pis_.resize(c_levels + 1);
-  for (std::size_t k = 0; k <= c_levels; ++k) {
-    pis_[k].assign(y.begin() + static_cast<std::ptrdiff_t>(k * m),
-                   y.begin() + static_cast<std::ptrdiff_t>((k + 1) * m));
-    for (double& x : pis_[k]) {
-      if (x < 0.0 && x > -1e-10) x = 0.0;
-      if (x < 0.0) {
-        throw NumericalError(
-            "LevelDependentSolution: negative boundary probability");
-      }
-    }
-  }
-  return rres.residual;
+  return blocks;
 }
 
-void LevelDependentSolution::run_checks(const TrustPolicy& policy,
-                                        double r_resid) {
-  trust_.checks.clear();
-  trust_.checks.push_back({"r-residual", r_resid, policy.r_residual_certified,
-                           policy.r_residual_rejected,
-                           "||A0 + R A1 + R^2 A2|| / sum||Ai||"});
-  trust_.checks.push_back({"boundary-residual", boundary_defect_,
-                           policy.boundary_residual_certified,
-                           policy.boundary_residual_rejected,
-                           "level-dependent balance system, compensated"});
-  // Probability-mass conservation: sum_k<C pi_k e + pi_C (I-R)^{-1} e = 1,
-  // in compensated long double ((I-R)^{-1} amplifies any R perturbation).
-  linalg::CompensatedSum<long double> acc;
-  const std::size_t c_levels = pis_.size() - 1;
-  for (std::size_t k = 0; k < c_levels; ++k) {
-    for (double x : pis_[k]) acc.add(static_cast<long double>(x));
-  }
-  const std::size_t m = pis_[c_levels].size();
-  for (std::size_t j = 0; j < m; ++j) {
-    linalg::CompensatedSum<long double> row;
-    for (std::size_t k = 0; k < m; ++k) {
-      row.add(static_cast<long double>(i_minus_r_inv_(j, k)));
-    }
-    acc.add(static_cast<long double>(pis_[c_levels][j]) * row.value());
-  }
-  const double mass_defect =
-      std::abs(static_cast<double>(acc.value() - 1.0L));
-  trust_.checks.push_back({"mass-conservation", mass_defect,
-                           policy.mass_defect_certified,
-                           policy.mass_defect_rejected,
-                           "sum_k pi_k e + pi_C (I-R)^{-1} e vs 1"});
-  trust_.grade();
-}
-
-LevelDependentSolution::LevelDependentSolution(
-    const LevelDependentBlocks& blocks, const SolverOptions& opts) {
-  double r_resid = solve(blocks, opts);
-  const TrustPolicy& policy = opts.trust;
-  if (!policy.enabled) return;  // trust_ stays unverified
-  run_checks(policy, r_resid);
-  if (trust_.verdict == TrustVerdict::kSuspect && policy.escalate) {
-    SolverOptions tighter = opts;
-    tighter.tolerance = std::max(opts.tolerance * 1e-2, 1e-16);
-    r_resid = solve(blocks, tighter);
-    run_checks(policy, r_resid);
-    trust_.resolves = 1;
-    trust_.healing =
-        std::string("re-solve(tolerance/100)->") + to_string(trust_.verdict);
-  }
-  if (trust_.verdict == TrustVerdict::kRejected) {
-    throw TrustRejected(
-        "LevelDependentSolution: answer fails a rejection threshold", trust_);
-  }
-}
-
-const Vector& LevelDependentSolution::pi(std::size_t k) const {
-  PERFORMA_EXPECTS(k < pis_.size(),
-                   "LevelDependentSolution::pi: level beyond boundary");
-  return pis_[k];
-}
-
-double LevelDependentSolution::probability_empty() const {
-  return linalg::sum(pis_[0]);
-}
-
-double LevelDependentSolution::pmf(std::size_t k) const {
-  const std::size_t c_levels = boundary_levels();
-  if (k <= c_levels) return linalg::sum(pis_[k]);
-  Vector v = pis_[c_levels];
-  for (std::size_t i = c_levels; i < k; ++i) v = v * r_;
-  return linalg::sum(v);
-}
-
-double LevelDependentSolution::tail(std::size_t k) const {
-  const std::size_t c_levels = boundary_levels();
-  const Vector e = linalg::ones(pis_[0].size());
-  if (k > c_levels) {
-    Vector v = pis_[c_levels];
-    for (std::size_t i = c_levels; i < k; ++i) v = v * r_;
-    return linalg::dot(v, i_minus_r_inv_ * e);
-  }
-  double acc = 0.0;
-  for (std::size_t j = k; j <= c_levels; ++j) acc += linalg::sum(pis_[j]);
-  // Mass strictly above level C.
-  acc += linalg::dot(pis_[c_levels] * r_, i_minus_r_inv_ * e);
-  return acc;
-}
-
-double LevelDependentSolution::mean_queue_length() const {
-  const std::size_t c_levels = boundary_levels();
-  const Vector e = linalg::ones(pis_[0].size());
-  double acc = 0.0;
-  for (std::size_t k = 1; k <= c_levels; ++k)
-    acc += static_cast<double>(k) * linalg::sum(pis_[k]);
-  // sum_{j>=1} (C+j) pi_C R^j e
-  const Vector pc_r = pis_[c_levels] * r_;
-  acc += static_cast<double>(c_levels) *
-         linalg::dot(pc_r, i_minus_r_inv_ * e);
-  acc += linalg::dot(pc_r, i_minus_r_inv_ * (i_minus_r_inv_ * e));
-  return acc;
-}
+}  // namespace
 
 LevelDependentBlocks cluster_level_dependent_blocks(
     const map::LumpedAggregate& cluster, double nu_p, double delta,
     double lambda) {
-  PERFORMA_EXPECTS(nu_p > 0.0, "cluster_level_dependent_blocks: nu_p > 0");
-  PERFORMA_EXPECTS(delta >= 0.0 && delta <= 1.0,
-                   "cluster_level_dependent_blocks: delta in [0,1]");
-  const unsigned n = cluster.n_servers();
-  const std::size_t m = cluster.state_count();
-
-  LevelDependentBlocks blocks;
-  blocks.q = cluster.mmpp().generator();
-  blocks.lambda = lambda;
-  blocks.service.reserve(n);
-  for (unsigned k = 1; k <= n; ++k) {
-    Vector rates(m, 0.0);
-    for (std::size_t s = 0; s < m; ++s) {
-      const unsigned up = cluster.up_count(s);
-      const unsigned busy_up = std::min(k, up);
-      const unsigned busy_down = std::min(k - busy_up, n - up);
-      rates[s] = nu_p * busy_up + delta * nu_p * busy_down;
-    }
-    blocks.service.push_back(Matrix::diag(rates));
-  }
-  return blocks;
+  std::vector<unsigned> up(cluster.state_count());
+  for (std::size_t s = 0; s < up.size(); ++s) up[s] = cluster.up_count(s);
+  return load_dependent_blocks(cluster.mmpp().generator(), cluster.n_servers(),
+                               nu_p, delta, up, lambda);
 }
 
 LevelDependentBlocks repair_facility_level_dependent_blocks(
     const map::RepairFacility& facility, double lambda) {
-  const unsigned n = facility.n_servers();
-  const std::size_t m = facility.state_count();
-  const double nu_p = facility.nu_p();
-  const double delta = facility.delta();
-
-  LevelDependentBlocks blocks;
-  blocks.q = facility.mmpp().generator();
-  blocks.lambda = lambda;
-  blocks.service.reserve(n);
-  for (unsigned k = 1; k <= n; ++k) {
-    Vector rates(m, 0.0);
-    for (std::size_t s = 0; s < m; ++s) {
-      const unsigned a = facility.active_count(s);
-      const unsigned busy_up = std::min(k, a);
-      const unsigned busy_down = std::min(k - busy_up, n - a);
-      rates[s] = nu_p * busy_up + delta * nu_p * busy_down;
-    }
-    blocks.service.push_back(Matrix::diag(rates));
+  std::vector<unsigned> active(facility.state_count());
+  for (std::size_t s = 0; s < active.size(); ++s) {
+    active[s] = facility.active_count(s);
   }
-  return blocks;
+  return load_dependent_blocks(facility.mmpp().generator(),
+                               facility.n_servers(), facility.nu_p(),
+                               facility.delta(), active, lambda);
 }
 
 }  // namespace performa::qbd

@@ -5,15 +5,10 @@
 //
 // Levels 0..C-1 carry level-specific service matrices M_k (rate of the
 // k -> k-1 transition); from level C on the process is homogeneous and the
-// usual matrix-geometric tail pi_{C+j} = pi_C R^j applies.
-//
-// Like QbdSolution, every solving construction is verified a posteriori:
-// the released solution carries the R solve's SolveReport plus a
-// TrustReport grading the r-residual, the defect of the full
-// (pre-normalization) boundary balance system, and compensated
-// probability-mass conservation. A suspect first verdict triggers one
-// tighter-tolerance re-solve; a final rejected verdict throws
-// TrustRejected instead of releasing wrong numbers.
+// usual matrix-geometric tail pi_{C+j} = pi_C R^j applies. QbdSolution
+// solves these blocks through the same certified pipeline as the
+// homogeneous queue (six trust checks, the three-rung healing ladder,
+// spans and deadline polls); this header only builds them.
 #pragma once
 
 #include <vector>
@@ -31,52 +26,10 @@ struct LevelDependentBlocks {
   std::vector<Matrix> service;    ///< service[k] = M_{k+1}, k = 0..C-1;
                                   ///< service.back() repeats for levels > C
   std::size_t phase_dim() const noexcept { return q.rows(); }
-  std::size_t boundary_levels() const noexcept { return service.size(); }
 };
 
-/// Stationary solution of the level-dependent QBD.
-class LevelDependentSolution {
- public:
-  /// Solves R and the boundary system, verifies per opts.trust and
-  /// re-solves once at tighter tolerance on a suspect verdict. Throws
-  /// NumericalError if the queue is unstable or the solvers fail, and
-  /// TrustRejected if the healed answer still fails a rejection threshold.
-  explicit LevelDependentSolution(const LevelDependentBlocks& blocks,
-                                  const SolverOptions& opts = {});
-
-  /// Pr(Q = k).
-  double pmf(std::size_t k) const;
-  /// Pr(Q >= k).
-  double tail(std::size_t k) const;
-  double mean_queue_length() const;
-  double probability_empty() const;
-
-  /// Boundary level count C (levels with their own pi_k vector).
-  std::size_t boundary_levels() const noexcept { return pis_.size() - 1; }
-
-  /// Boundary vector pi_k, k = 0..C.
-  const Vector& pi(std::size_t k) const;
-  /// Rate matrix of the homogeneous tail (levels >= C).
-  const Matrix& r() const noexcept { return r_; }
-
-  /// Guardrail diagnostics of the underlying R solve.
-  const SolveReport& report() const noexcept { return report_; }
-  /// A posteriori trust verdict with per-check evidence.
-  const TrustReport& trust() const noexcept { return trust_; }
-
- private:
-  /// One full solve pass; returns the scaled R-residual and stores the
-  /// pre-normalization boundary defect in boundary_defect_.
-  double solve(const LevelDependentBlocks& blocks, const SolverOptions& opts);
-  void run_checks(const TrustPolicy& policy, double r_resid);
-
-  std::vector<Vector> pis_;  // pi_0 .. pi_C
-  Matrix r_;
-  Matrix i_minus_r_inv_;
-  double boundary_defect_ = 0.0;
-  SolveReport report_;
-  TrustReport trust_;
-};
+/// The level-dependent solution is a QbdSolution with C boundary levels.
+using LevelDependentSolution = QbdSolution;
 
 /// Build the load-dependent cluster queue on the lumped state space:
 /// with k tasks in the system and occupancy state s (u UP servers), the

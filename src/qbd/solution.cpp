@@ -11,55 +11,75 @@
 #include "obs/deadline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "qbd/level_dependent.h"
 
 namespace performa::qbd {
 
+/// The one shape every solving construction reduces to: boundary levels
+/// 0..C, level k with its own local block L_k, up block U_k (k -> k+1,
+/// k < C) and down block D_k (k -> k-1, k >= 1), then the homogeneous tail
+/// pi_{C+j} = pi_C R^j with R the minimal solution on `tail`. The level-C
+/// balance closes with L_C + R A2. Blocks are borrowed.
+struct BoundaryLevels {
+  const QbdBlocks& tail;
+  std::vector<const Matrix*> local;  // L_0 .. L_C
+  std::vector<const Matrix*> up;     // U_0 .. U_{C-1}
+  std::vector<const Matrix*> down;   // D_1 .. D_C
+  std::size_t c() const noexcept { return up.size(); }
+};
+
 namespace {
 
-// x^T columns stacked: solve for [pi0 pi1] from
-//   pi0 B00 + pi1 B10 = 0
-//   pi0 B01 + pi1 (A1 + R A2) = 0
-// with one equation replaced by the normalization
-//   pi0 e + pi1 (I-R)^{-1} e = 1.
-void solve_boundary(const QbdBlocks& b, const Matrix& r,
-                    const Matrix& i_minus_r_inv, Vector& pi0, Vector& pi1) {
-  const std::size_t m = b.phase_dim();
-  const Matrix lower_right = b.a1 + r * b.a2;
+/// QbdBlocks as the C = 1 shape: L = {B00, A1}, U_0 = B01, D_1 = B10.
+BoundaryLevels homogeneous_levels(const QbdBlocks& b) {
+  return {b, {&b.b00, &b.a1}, {&b.b01}, {&b.b10}};
+}
+
+/// The level-j balance equation
+///   pi_{j-1} U_{j-1} + pi_j L_j + pi_{j+1} D_{j+1} = 0
+/// as (level k, block B) terms pi_k B, with `closing` = L_C + R A2 in
+/// place of L_C.
+std::vector<std::pair<std::size_t, const Matrix*>> balance_terms(
+    const BoundaryLevels& lv, const Matrix& closing, std::size_t j) {
+  std::vector<std::pair<std::size_t, const Matrix*>> terms;
+  if (j > 0) terms.emplace_back(j - 1, lv.up[j - 1]);
+  terms.emplace_back(j, j == lv.c() ? &closing : lv.local[j]);
+  if (j < lv.c()) terms.emplace_back(j + 1, lv.down[j]);
+  return terms;
+}
+
+// Solve the row-vector system [pi_0 .. pi_C] M = 0 as M^T y = 0: equation
+// (level j, component col) is row j*m + col, unknown (level k, phase i) is
+// column k*m + i, and row 0 is replaced by the normalization
+//   sum_{k<C} pi_k e + pi_C (I-R)^{-1} e = 1.
+std::vector<Vector> solve_boundary(const BoundaryLevels& lv, const Matrix& r,
+                                   const Matrix& i_minus_r_inv) {
+  const std::size_t m = lv.tail.phase_dim();
+  const std::size_t c = lv.c();
+  const std::size_t n = (c + 1) * m;
+  const Matrix closing = *lv.local[c] + r * lv.tail.a2;
   const Vector norm_tail = i_minus_r_inv * linalg::ones(m);
 
-  // Row-vector system x M = 0 becomes M^T y = 0 with y = x^T; replace the
-  // first equation with the normalization row.
-  const std::size_t n = 2 * m;
   Matrix sys(n, n, 0.0);
   Vector rhs(n, 0.0);
-
-  // Equation index 0: normalization.
-  for (std::size_t j = 0; j < m; ++j) {
-    sys(0, j) = 1.0;                // pi0 . e
-    sys(0, m + j) = norm_tail[j];   // pi1 . (I-R)^{-1} e
+  for (std::size_t j = 0; j <= c; ++j) {
+    for (const auto& [k, b] : balance_terms(lv, closing, j)) {
+      for (std::size_t col = 0; col < m; ++col) {
+        for (std::size_t i = 0; i < m; ++i) {
+          sys(j * m + col, k * m + i) = (*b)(i, col);
+        }
+      }
+    }
   }
+  // Row 0: the normalization, over every unknown.
+  for (std::size_t i = 0; i < c * m; ++i) sys(0, i) = 1.0;
+  for (std::size_t i = 0; i < m; ++i) sys(0, c * m + i) = norm_tail[i];
   rhs[0] = 1.0;
-
-  // Equations 1..m-1 from the first block column (balance at level 0),
-  // skipping component 0 which the normalization replaced.
-  for (std::size_t c = 1; c < m; ++c) {
-    for (std::size_t j = 0; j < m; ++j) {
-      sys(c, j) = b.b00(j, c);
-      sys(c, m + j) = b.b10(j, c);
-    }
-  }
-  // Equations m..2m-1 from the second block column (balance at level 1).
-  for (std::size_t c = 0; c < m; ++c) {
-    for (std::size_t j = 0; j < m; ++j) {
-      sys(m + c, j) = b.b01(j, c);
-      sys(m + c, m + j) = lower_right(j, c);
-    }
-  }
 
   const linalg::Lu lu(sys);
   Vector y = lu.solve(rhs);
   // One step of fixed-precision iterative refinement with a compensated
-  // long-double residual: two extra triangular sweeps (O(m^2)) recover
+  // long-double residual: two extra triangular sweeps (O(n^2)) recover
   // the digits the factorization loses when the boundary system is
   // ill-conditioned (kappa grows like 1/(1-rho) toward saturation).
   Vector resid(n);
@@ -74,55 +94,70 @@ void solve_boundary(const QbdBlocks& b, const Matrix& r,
   const Vector dy = lu.solve(resid);
   for (std::size_t i = 0; i < n; ++i) y[i] += dy[i];
 
-  pi0.assign(y.begin(), y.begin() + static_cast<std::ptrdiff_t>(m));
-  pi1.assign(y.begin() + static_cast<std::ptrdiff_t>(m), y.end());
+  std::vector<Vector> pis(c + 1);
+  for (std::size_t k = 0; k <= c; ++k) {
+    pis[k].assign(y.begin() + static_cast<std::ptrdiff_t>(k * m),
+                  y.begin() + static_cast<std::ptrdiff_t>((k + 1) * m));
+  }
+  return pis;
 }
 
-// |1 - (pi0 e + pi1 (I-R)^{-1} e)| in compensated long double: the
-// probability-mass conservation defect. (I-R)^{-1} amplifies an R
-// perturbation dR by roughly (I-R)^{-1} dR (I-R)^{-1}, i.e. by ~E[Q]^2
-// near saturation, which is what makes this the most sensitive detector
-// of a corrupted or under-converged R.
-double mass_defect(const Vector& pi0, const Vector& pi1, const Matrix& inv) {
+// sum_{k<C} pi_k e + pi_C (I-R)^{-1} e: the total probability mass.
+double total_mass(const std::vector<Vector>& pis, const Matrix& inv) {
+  double total = 0.0;
+  for (std::size_t k = 0; k + 1 < pis.size(); ++k) {
+    total += linalg::sum(pis[k]);
+  }
+  return total + linalg::dot(pis.back(), inv * linalg::ones(inv.rows()));
+}
+
+// |1 - total_mass| in compensated long double: the probability-mass
+// conservation defect. (I-R)^{-1} amplifies an R perturbation dR by
+// roughly (I-R)^{-1} dR (I-R)^{-1}, i.e. by ~E[Q]^2 near saturation,
+// which is what makes this the most sensitive detector of a corrupted or
+// under-converged R.
+double mass_defect(const std::vector<Vector>& pis, const Matrix& inv) {
   linalg::CompensatedSum<long double> acc;
-  for (double x : pi0) acc.add(static_cast<long double>(x));
-  const std::size_t m = pi1.size();
-  for (std::size_t j = 0; j < m; ++j) {
+  for (std::size_t k = 0; k + 1 < pis.size(); ++k) {
+    for (double x : pis[k]) acc.add(static_cast<long double>(x));
+  }
+  const Vector& top = pis.back();
+  for (std::size_t j = 0; j < top.size(); ++j) {
     linalg::CompensatedSum<long double> row;
-    for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t k = 0; k < top.size(); ++k) {
       row.add(static_cast<long double>(inv(j, k)));
     }
-    acc.add(static_cast<long double>(pi1[j]) * row.value());
+    acc.add(static_cast<long double>(top[j]) * row.value());
   }
   return std::abs(static_cast<double>(acc.value() - 1.0L));
 }
 
-// Relative defect of the two boundary balance equations
-//   pi0 B00 + pi1 B10 = 0,   pi0 B01 + pi1 (A1 + R A2) = 0,
-// evaluated component-wise in compensated long double. Component 0 of
-// the first equation is NOT enforced by the boundary solve (the
-// normalization row replaced it), so this measures genuine solution
-// quality, not just how well LU inverted its own system.
-double boundary_defect(const QbdBlocks& b, const Matrix& r, const Vector& pi0,
-                       const Vector& pi1) {
-  const std::size_t m = pi0.size();
-  const Matrix lower_right = b.a1 + r * b.a2;
+// Relative defect of the boundary balance equations (balance_terms),
+// j = 0..C, evaluated component-wise in compensated long double. Component 0 of the level-0 equation is NOT enforced by the
+// boundary solve (the normalization row replaced it), so this measures
+// genuine solution quality, not just how well LU inverted its own system.
+double boundary_defect(const BoundaryLevels& lv, const Matrix& r,
+                       const std::vector<Vector>& pis) {
+  const std::size_t m = lv.tail.phase_dim();
+  const std::size_t c = lv.c();
+  const Matrix closing = *lv.local[c] + r * lv.tail.a2;
   long double worst = 0.0L;
-  for (std::size_t c = 0; c < m; ++c) {
-    linalg::CompensatedSum<long double> e0;
-    linalg::CompensatedSum<long double> e1;
-    for (std::size_t j = 0; j < m; ++j) {
-      e0.add(static_cast<long double>(pi0[j]) * b.b00(j, c));
-      e0.add(static_cast<long double>(pi1[j]) * b.b10(j, c));
-      e1.add(static_cast<long double>(pi0[j]) * b.b01(j, c));
-      e1.add(static_cast<long double>(pi1[j]) * lower_right(j, c));
+  double coeff = 0.0;
+  double mass = 0.0;
+  for (std::size_t j = 0; j <= c; ++j) {
+    const auto terms = balance_terms(lv, closing, j);
+    for (const auto& term : terms) coeff += linalg::norm_inf(*term.second);
+    for (std::size_t col = 0; col < m; ++col) {
+      linalg::CompensatedSum<long double> acc;
+      for (std::size_t i = 0; i < m; ++i) {
+        for (const auto& [k, b] : terms) {
+          acc.add(static_cast<long double>(pis[k][i]) * (*b)(i, col));
+        }
+      }
+      worst = std::max(worst, std::abs(acc.value()));
     }
-    worst = std::max(worst, std::abs(e0.value()));
-    worst = std::max(worst, std::abs(e1.value()));
+    mass = std::max(mass, linalg::norm_inf(pis[j]));
   }
-  const double coeff = linalg::norm_inf(b.b00) + linalg::norm_inf(b.b10) +
-                       linalg::norm_inf(b.b01) + linalg::norm_inf(lower_right);
-  const double mass = std::max(linalg::norm_inf(pi0), linalg::norm_inf(pi1));
   const double scale = std::max(coeff * mass, 1e-300);
   return static_cast<double>(worst) / scale;
 }
@@ -147,31 +182,68 @@ Vector stationary_lu(const Matrix& gen) {
 }  // namespace
 
 QbdSolution::QbdSolution(const QbdBlocks& blocks, const SolverOptions& opts) {
-  RSolveResult rs = solve_r(blocks, opts);
+  solve(homogeneous_levels(blocks), opts);
+  // sp(R) once per answer, on the R that certification released.
+  report_.spectral_radius = spectral_radius(r_);
+}
+
+QbdSolution::QbdSolution(const LevelDependentBlocks& blocks,
+                         const SolverOptions& opts) {
+  PERFORMA_EXPECTS(!blocks.service.empty(),
+                   "QbdSolution: level-dependent blocks need a service level");
+  PERFORMA_EXPECTS(blocks.lambda > 0.0,
+                   "QbdSolution: level-dependent lambda must be positive");
+  const std::size_t m = blocks.phase_dim();
+  const std::size_t c = blocks.service.size();
+  for (const Matrix& svc : blocks.service) {
+    PERFORMA_EXPECTS(svc.rows() == m && svc.cols() == m,
+                     "QbdSolution: level-dependent service block shape");
+  }
+  // Levels k = 1..C: local Q - lambda I - M_k, up lambda I, down M_k; the
+  // tail (levels >= C) repeats M_C.
+  const Matrix lam = blocks.lambda * Matrix::identity(m);
+  const Matrix& m_top = blocks.service.back();
+  QbdBlocks tail;
+  tail.b00 = blocks.q - lam;
+  tail.b01 = lam;
+  tail.b10 = m_top;
+  tail.a0 = lam;
+  tail.a1 = blocks.q - lam - m_top;
+  tail.a2 = m_top;
+  std::vector<Matrix> inner;  // L_1 .. L_{C-1}; lv points into it, so
+  inner.reserve(c);           // it must never reallocate
+  BoundaryLevels lv{tail, {&tail.b00}, {}, {}};
+  for (std::size_t k = 1; k <= c; ++k) {
+    if (k < c) inner.push_back(blocks.q - lam - blocks.service[k - 1]);
+    lv.local.push_back(k < c ? &inner.back() : &tail.a1);
+    lv.up.push_back(&tail.a0);
+    lv.down.push_back(&blocks.service[k - 1]);
+  }
+  solve(lv, opts);
+}
+
+void QbdSolution::solve(const BoundaryLevels& lv, const SolverOptions& opts) {
+  RSolveResult rs = solve_r(lv.tail, opts);
   r_ = std::move(rs.r);
   r_iterations_ = rs.iterations;
   r_residual_ = rs.residual;
   report_ = std::move(rs.report);
 
-  assemble(blocks);
-  if (opts.trust.enabled) certify(blocks, opts);
-  // sp(R) once per answer, on the R that certification released.
-  report_.spectral_radius = spectral_radius(r_);
+  assemble(lv);
+  if (opts.trust.enabled) certify(lv, opts);
 }
 
 QbdSolution::QbdSolution(Matrix r, Vector pi0, Vector pi1,
                          SolveReport report)
-    : r_(std::move(r)),
-      pi0_(std::move(pi0)),
-      pi1_(std::move(pi1)),
-      report_(std::move(report)) {
+    : r_(std::move(r)), report_(std::move(report)) {
   const std::size_t m = r_.rows();
-  PERFORMA_EXPECTS(r_.is_square() && m > 0 && pi0_.size() == m &&
-                       pi1_.size() == m,
+  PERFORMA_EXPECTS(r_.is_square() && m > 0 && pi0.size() == m &&
+                       pi1.size() == m,
                    "QbdSolution: rehydrated R/pi0/pi1 shapes disagree");
   linalg::check_finite(r_, "QbdSolution: rehydrated R");
-  linalg::check_finite(pi0_, "QbdSolution: rehydrated pi0");
-  linalg::check_finite(pi1_, "QbdSolution: rehydrated pi1");
+  linalg::check_finite(pi0, "QbdSolution: rehydrated pi0");
+  linalg::check_finite(pi1, "QbdSolution: rehydrated pi1");
+  pis_ = {std::move(pi0), std::move(pi1)};
   report_.spectral_radius = spectral_radius(r_);
   if (report_.spectral_radius >= 1.0) {
     throw NumericalError(
@@ -179,9 +251,7 @@ QbdSolution::QbdSolution(Matrix r, Vector pi0, Vector pi1,
         "mismatched journal entry)");
   }
   i_minus_r_inv_ = linalg::inverse(Matrix::identity(m) - r_);
-  const double total = linalg::sum(pi0_) +
-          linalg::dot(pi1_, i_minus_r_inv_ * linalg::ones(m));
-  if (std::abs(total - 1.0) > 1e-6) {
+  if (std::abs(total_mass(pis_, i_minus_r_inv_) - 1.0) > 1e-6) {
     throw NumericalError(
         "QbdSolution: rehydrated solution is not normalized (corrupt or "
         "mismatched journal entry)");
@@ -192,23 +262,22 @@ QbdSolution::QbdSolution(Matrix r, Vector pi0, Vector pi1,
   verify_rehydrated();
 }
 
-void QbdSolution::assemble(const QbdBlocks& blocks) {
+void QbdSolution::assemble(const BoundaryLevels& lv) {
   PERFORMA_SPAN("qbd.solution.assemble");
   if (obs::deadline_expired()) {
     report_.deadline_exceeded = true;
     throw DeadlineExceeded(
         "QbdSolution: deadline expired before boundary assembly", report_);
   }
-  const std::size_t m = blocks.phase_dim();
+  const std::size_t m = lv.tail.phase_dim();
   i_minus_r_inv_ = linalg::inverse(Matrix::identity(m) - r_);
-  solve_boundary(blocks, r_, i_minus_r_inv_, pi0_, pi1_);
-  linalg::check_finite(pi0_, "QbdSolution: boundary vector pi0");
-  linalg::check_finite(pi1_, "QbdSolution: boundary vector pi1");
+  pis_ = solve_boundary(lv, r_, i_minus_r_inv_);
 
-  // The boundary solve can produce tiny negative round-off; clip and
-  // renormalize so downstream probabilities stay in range.
-  for (Vector* vec : {&pi0_, &pi1_}) {
-    for (double& x : *vec) {
+  // The boundary solve can produce tiny negative round-off; clip so
+  // downstream probabilities stay in range.
+  for (Vector& vec : pis_) {
+    linalg::check_finite(vec, "QbdSolution: boundary vector");
+    for (double& x : vec) {
       if (x < 0.0 && x > -1e-12) x = 0.0;
       if (x < 0.0) {
         throw NumericalError(
@@ -216,14 +285,12 @@ void QbdSolution::assemble(const QbdBlocks& blocks) {
       }
     }
   }
-  const double total = linalg::sum(pi0_) +
-          linalg::dot(pi1_, i_minus_r_inv_ * linalg::ones(m));
-  if (std::abs(total - 1.0) > 1e-8) {
+  if (std::abs(total_mass(pis_, i_minus_r_inv_) - 1.0) > 1e-8) {
     throw NumericalError("QbdSolution: boundary normalization failed");
   }
 }
 
-void QbdSolution::run_checks(const QbdBlocks& blocks,
+void QbdSolution::run_checks(const BoundaryLevels& lv,
                              const TrustPolicy& policy, double r_resid) {
   PERFORMA_SPAN("qbd.solution.verify");
   TrustReport t;
@@ -233,13 +300,13 @@ void QbdSolution::run_checks(const QbdBlocks& blocks,
                       "scaled ||A0 + R A1 + R^2 A2||"});
 
   t.checks.push_back({"boundary-residual",
-                      boundary_defect(blocks, r_, pi0_, pi1_),
+                      boundary_defect(lv, r_, pis_),
                       policy.boundary_residual_certified,
                       policy.boundary_residual_rejected,
-                      "level-0/1 balance equations"});
+                      "boundary balance equations"});
 
   t.checks.push_back({"mass-conservation",
-                      mass_defect(pi0_, pi1_, i_minus_r_inv_),
+                      mass_defect(pis_, i_minus_r_inv_),
                       policy.mass_defect_certified,
                       policy.mass_defect_rejected,
                       "|1 - pi . tail closure|, compensated"});
@@ -249,7 +316,7 @@ void QbdSolution::run_checks(const QbdBlocks& blocks,
   // own phase marginal against the GTH vector. The two solvers share no
   // failure modes; the marginal ties the boundary/tail machinery back to
   // the phase process it must reproduce.
-  const Matrix gen = blocks.a0 + blocks.a1 + blocks.a2;
+  const Matrix gen = lv.tail.a0 + lv.tail.a1 + lv.tail.a2;
   try {
     const Vector pi_gth = linalg::stationary_distribution(gen);
     const Vector pi_lu = stationary_lu(gen);
@@ -290,16 +357,18 @@ void QbdSolution::run_checks(const QbdBlocks& blocks,
 
 const TrustReport& QbdSolution::verify(const QbdBlocks& blocks,
                                        const TrustPolicy& policy) {
-  run_checks(blocks, policy, r_residual_norm(blocks, r_));
+  PERFORMA_EXPECTS(boundary_levels() == 1,
+                   "QbdSolution::verify: QbdBlocks have one boundary level");
+  run_checks(homogeneous_levels(blocks), policy, r_residual_norm(blocks, r_));
   return trust_;
 }
 
 void QbdSolution::refine(const QbdBlocks& blocks) {
-  newton_refine(blocks);
+  newton_refine(homogeneous_levels(blocks));
   report_.spectral_radius = spectral_radius(r_);
 }
 
-void QbdSolution::newton_refine(const QbdBlocks& blocks) {
+void QbdSolution::newton_refine(const BoundaryLevels& lv) {
   PERFORMA_SPAN("qbd.solution.refine");
   static obs::Counter& refinements = obs::counter("qbd.trust.refinements");
   refinements.add();
@@ -309,6 +378,7 @@ void QbdSolution::newton_refine(const QbdBlocks& blocks) {
   // perturbed iterate, so a single step strips an injected perturbation
   // down to roundoff; the boundary re-solve then re-normalizes the
   // probability mass against the refined tail closure exactly.
+  const QbdBlocks& blocks = lv.tail;
   const linalg::Lu shifted(-1.0 * (blocks.a1 + r_ * blocks.a2));
   Matrix next = shifted.solve_left(blocks.a0);
   linalg::check_finite(next, "QbdSolution::refine: refined R");
@@ -317,15 +387,15 @@ void QbdSolution::newton_refine(const QbdBlocks& blocks) {
   report_.final_defect = r_residual_;
   report_.final_defect_raw = r_residual_ * residual_scale(blocks);
   report_.condition = shifted.condition_estimate();
-  assemble(blocks);
+  assemble(lv);
 }
 
-void QbdSolution::certify(const QbdBlocks& blocks, const SolverOptions& opts) {
+void QbdSolution::certify(const BoundaryLevels& lv, const SolverOptions& opts) {
   PERFORMA_SPAN("qbd.solution.certify");
   const TrustPolicy& policy = opts.trust;
   // First grading reuses the scaled residual solve_r just computed on
   // this exact R: the warm path pays the cheap checks only.
-  run_checks(blocks, policy, r_residual_);
+  run_checks(lv, policy, r_residual_);
 
   if (trust_.verdict != TrustVerdict::kCertified && policy.escalate) {
     static obs::Counter& escalations = obs::counter("qbd.trust.escalations");
@@ -333,21 +403,20 @@ void QbdSolution::certify(const QbdBlocks& blocks, const SolverOptions& opts) {
 
     struct Snapshot {
       Matrix r, inv;
-      Vector p0, p1;
+      std::vector<Vector> pis;
       SolveReport rep;
       unsigned iterations;
       double residual;
       TrustReport trust;
     };
     const auto take = [this] {
-      return Snapshot{r_,      i_minus_r_inv_, pi0_,        pi1_,
+      return Snapshot{r_,      i_minus_r_inv_, pis_,
                       report_, r_iterations_,  r_residual_, trust_};
     };
     const auto put_back = [this](const Snapshot& s) {
       r_ = s.r;
       i_minus_r_inv_ = s.inv;
-      pi0_ = s.p0;
-      pi1_ = s.p1;
+      pis_ = s.pis;
       report_ = s.rep;
       r_iterations_ = s.iterations;
       r_residual_ = s.residual;
@@ -366,75 +435,58 @@ void QbdSolution::certify(const QbdBlocks& blocks, const SolverOptions& opts) {
     std::string trail;
     bool out_of_budget = false;
 
-    // Rung 1: one self-healing refinement pass. (The constructor computes
-    // sp(R) once the ladder has settled, so no rung computes it.)
-    try {
-      newton_refine(blocks);
-      ++refinements;
-      trail = "refine";
-      verify(blocks, policy);
-      if (better(trust_, best.trust)) best = take();
-    } catch (const DeadlineError&) {
-      trail = "refine(deadline)";
-      out_of_budget = true;
-      put_back(best);
-    } catch (const NumericalError&) {
-      trail = "refine(failed)";
-      put_back(best);
-    }
-
-    // Rung 2: tighter-tolerance re-solve from scratch.
-    if (!out_of_budget && best.trust.verdict != TrustVerdict::kCertified) {
-      SolverOptions tight = opts;
-      tight.tolerance = std::max(opts.tolerance * 1e-2, 1e-15);
+    // One rung: run `step`, re-grade, keep the best state seen. A deadline
+    // ends the ladder; a numerical failure ends only this rung.
+    const auto rung = [&](const char* name, const auto& step) {
+      if (out_of_budget || best.trust.verdict == TrustVerdict::kCertified) {
+        return;
+      }
+      trail += trail.empty() ? name : std::string("->") + name;
       try {
-        RSolveResult rs = solve_r(blocks, tight);
-        r_ = std::move(rs.r);
-        r_iterations_ = rs.iterations;
-        r_residual_ = rs.residual;
-        report_ = std::move(rs.report);
-        assemble(blocks);
-        ++resolves;
-        trail += "->tight-resolve";
-        verify(blocks, policy);
+        step();
+        run_checks(lv, policy, r_residual_norm(lv.tail, r_));
         if (better(trust_, best.trust)) best = take();
       } catch (const DeadlineError&) {
-        trail += "->tight-resolve(deadline)";
+        trail += "(deadline)";
         out_of_budget = true;
         put_back(best);
       } catch (const NumericalError&) {
-        trail += "->tight-resolve(failed)";
+        trail += "(failed)";
         put_back(best);
       }
-    }
+    };
+    const auto resolve = [&](const SolverOptions& o) {
+      RSolveResult rs = solve_r(lv.tail, o);
+      r_ = std::move(rs.r);
+      r_iterations_ = rs.iterations;
+      r_residual_ = rs.residual;
+      report_ = std::move(rs.report);
+      assemble(lv);
+      ++resolves;
+    };
 
+    // Rung 1: one self-healing refinement pass. (The constructor computes
+    // sp(R) once the ladder has settled, so no rung computes it.)
+    rung("refine", [&] {
+      newton_refine(lv);
+      ++refinements;
+    });
+    // Rung 2: tighter-tolerance re-solve from scratch.
+    rung("tight-resolve", [&] {
+      SolverOptions tight = opts;
+      tight.tolerance = std::max(opts.tolerance * 1e-2, 1e-15);
+      resolve(tight);
+    });
     // Rung 3: alternate solver tier -- a different algorithm family may
     // not share the winner's stagnation mode.
-    if (!out_of_budget && best.trust.verdict != TrustVerdict::kCertified) {
+    rung("alternate-tier", [&] {
       SolverOptions alt = opts;
       alt.algorithm =
           best.rep.winner == SolveAlgorithm::kLogarithmicReduction
               ? RAlgorithm::kNewtonShifted
               : RAlgorithm::kLogarithmicReduction;
-      try {
-        RSolveResult rs = solve_r(blocks, alt);
-        r_ = std::move(rs.r);
-        r_iterations_ = rs.iterations;
-        r_residual_ = rs.residual;
-        report_ = std::move(rs.report);
-        assemble(blocks);
-        ++resolves;
-        trail += "->alternate-tier";
-        verify(blocks, policy);
-        if (better(trust_, best.trust)) best = take();
-      } catch (const DeadlineError&) {
-        trail += "->alternate-tier(deadline)";
-        put_back(best);
-      } catch (const NumericalError&) {
-        trail += "->alternate-tier(failed)";
-        put_back(best);
-      }
-    }
+      resolve(alt);
+    });
 
     put_back(best);
     trust_.refinements = refinements;
@@ -468,7 +520,7 @@ void QbdSolution::verify_rehydrated() {
   const TrustPolicy policy;
   TrustReport t;
   t.checks.push_back({"mass-conservation",
-                      mass_defect(pi0_, pi1_, i_minus_r_inv_),
+                      mass_defect(pis_, i_minus_r_inv_),
                       policy.mass_defect_certified,
                       policy.mass_defect_rejected,
                       "|1 - pi . tail closure|, compensated"});
@@ -477,20 +529,29 @@ void QbdSolution::verify_rehydrated() {
   trust_ = std::move(t);
 }
 
-double QbdSolution::probability_empty() const { return linalg::sum(pi0_); }
+const Vector& QbdSolution::pi(std::size_t k) const {
+  PERFORMA_EXPECTS(k < pis_.size(), "QbdSolution::pi: level beyond boundary");
+  return pis_[k];
+}
+
+double QbdSolution::probability_empty() const { return linalg::sum(pis_[0]); }
 
 double QbdSolution::pmf(std::size_t k) const {
-  if (k == 0) return probability_empty();
-  Vector v = pi1_;
-  for (std::size_t i = 1; i < k; ++i) v = v * r_;
+  const std::size_t c = boundary_levels();
+  if (k < c) return linalg::sum(pis_[k]);
+  Vector v = pis_[c];
+  for (std::size_t i = c; i < k; ++i) v = v * r_;
   return linalg::sum(v);
 }
 
 Vector QbdSolution::pmf_upto(std::size_t k_max) const {
   Vector out(k_max + 1);
-  out[0] = probability_empty();
-  Vector v = pi1_;
-  for (std::size_t k = 1; k <= k_max; ++k) {
+  const std::size_t c = boundary_levels();
+  for (std::size_t k = 0; k < c && k <= k_max; ++k) {
+    out[k] = linalg::sum(pis_[k]);
+  }
+  Vector v = pis_[c];
+  for (std::size_t k = c; k <= k_max; ++k) {
     // QoS bisection sweeps k_max into the millions; poll the cooperative
     // deadline so a tail expansion honours its request budget too.
     if ((k & 4095u) == 0 && obs::deadline_expired()) {
@@ -504,10 +565,17 @@ Vector QbdSolution::pmf_upto(std::size_t k_max) const {
 
 double QbdSolution::tail(std::size_t k) const {
   if (k == 0) return 1.0;
-  // pi_1 R^{k-1} (I-R)^{-1} e via iterated vector-matrix products for
+  const std::size_t c = boundary_levels();
+  const Vector closure = i_minus_r_inv_ * linalg::ones(phase_dim());
+  if (k < c) {
+    double acc = 0.0;
+    for (std::size_t j = k; j < c; ++j) acc += linalg::sum(pis_[j]);
+    return acc + linalg::dot(pis_[c], closure);
+  }
+  // pi_C R^{k-C} (I-R)^{-1} e via iterated vector-matrix products for
   // small k and binary powering for large k.
-  const std::size_t steps = k - 1;
-  Vector v = pi1_;
+  const std::size_t steps = k - c;
+  Vector v = pis_[c];
   if (steps <= 64) {
     for (std::size_t i = 0; i < steps; ++i) v = v * r_;
   } else {
@@ -522,21 +590,38 @@ double QbdSolution::tail(std::size_t k) const {
     }
     v = v * pow;
   }
-  return linalg::dot(v, i_minus_r_inv_ * linalg::ones(phase_dim()));
+  return linalg::dot(v, closure);
 }
 
 double QbdSolution::mean_queue_length() const {
-  // sum_{k>=1} k pi_1 R^{k-1} e = pi_1 (I-R)^{-2} e
-  const Vector e = linalg::ones(phase_dim());
-  return linalg::dot(pi1_, i_minus_r_inv_ * (i_minus_r_inv_ * e));
+  // sum_{j>=0} (C+j) pi_C R^j e = pi_C [(I-R)^{-2} + (C-1)(I-R)^{-1}] e,
+  // plus k pi_k e for the levels k < C.
+  const std::size_t c = boundary_levels();
+  const Vector closure = i_minus_r_inv_ * linalg::ones(phase_dim());
+  double acc = linalg::dot(pis_[c], i_minus_r_inv_ * closure);
+  acc += static_cast<double>(c - 1) * linalg::dot(pis_[c], closure);
+  for (std::size_t k = 1; k < c; ++k) {
+    acc += static_cast<double>(k) * linalg::sum(pis_[k]);
+  }
+  return acc;
 }
 
 double QbdSolution::second_moment() const {
-  // sum_{k>=1} k^2 R^{k-1} = (I+R)(I-R)^{-3}
+  // sum_{j>=0} (j+1)^2 R^j = (I+R)(I-R)^{-3}; with d = C-1,
+  // (C+j)^2 = (j+1)^2 + 2d(j+1) + d^2.
   const std::size_t m = phase_dim();
+  const std::size_t c = boundary_levels();
   const Vector e = linalg::ones(m);
   const Matrix inv3 = i_minus_r_inv_ * i_minus_r_inv_ * i_minus_r_inv_;
-  return linalg::dot(pi1_, (Matrix::identity(m) + r_) * (inv3 * e));
+  double acc = linalg::dot(pis_[c], (Matrix::identity(m) + r_) * (inv3 * e));
+  const double d = static_cast<double>(c - 1);
+  const Vector closure = i_minus_r_inv_ * e;
+  acc += 2.0 * d * linalg::dot(pis_[c], i_minus_r_inv_ * closure) +
+         d * d * linalg::dot(pis_[c], closure);
+  for (std::size_t k = 1; k < c; ++k) {
+    acc += static_cast<double>(k * k) * linalg::sum(pis_[k]);
+  }
+  return acc;
 }
 
 double QbdSolution::variance() const {
@@ -545,13 +630,17 @@ double QbdSolution::variance() const {
 }
 
 Vector QbdSolution::phase_marginal_busy() const {
-  return pi1_ * i_minus_r_inv_;
+  Vector out = pis_.back() * i_minus_r_inv_;
+  for (std::size_t k = 1; k + 1 < pis_.size(); ++k) {
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] += pis_[k][i];
+  }
+  return out;
 }
 
 Vector QbdSolution::phase_marginal() const {
-  Vector out = pi0_;
-  const Vector tail_mass = pi1_ * i_minus_r_inv_;
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] += tail_mass[i];
+  Vector out = pis_[0];
+  const Vector busy = phase_marginal_busy();
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] += busy[i];
   return out;
 }
 

@@ -50,8 +50,8 @@ struct SolveReport {
   /// block scale, in the model's rate units.
   double final_defect_raw = 0.0;
   /// sp(R) estimate (caudal characteristic). NaN until a QbdSolution
-  /// computes it: solve_r and LevelDependentSolution leave it unset, and
-  /// the renderings below then omit it.
+  /// computes it: solve_r and the level-dependent QbdSolution leave it
+  /// unset, and the renderings below then omit it.
   double spectral_radius = std::numeric_limits<double>::quiet_NaN();
   double condition = 0.0;        ///< kappa_1 estimate of the final linear solve
   double utilization = 0.0;      ///< mean-drift rho from the pre-check

@@ -13,6 +13,7 @@
 #include "map/kron_aggregate.h"
 #include "medist/me_dist.h"
 #include "medist/tpt.h"
+#include "qbd/level_dependent.h"
 #include "qbd/qbd.h"
 #include "qbd/solution.h"
 #include "qbd/trust.h"
@@ -330,6 +331,30 @@ RelationOutcome check_kron_matrix_free(const ModelDraw& draw) {
   }
   if (d_mean > 1e-8 || d_empty > 1e-8 || d_tail > 1e-7 || d_perm > 1e-12) {
     return fail(draw, "kron-matrix-free violated: " + detail);
+  }
+  return {true, detail};
+}
+
+RelationOutcome check_level_dependent_vs_homogeneous(const ModelDraw& draw) {
+  // At least two servers, so the level-dependent solve really runs C >= 2
+  // boundary levels.
+  ModelDraw cfg = draw;
+  cfg.n_servers = std::max(draw.n_servers, 2u);
+  const map::LumpedAggregate cluster(cfg.server(), cfg.n_servers);
+  const double lambda = cfg.rho * cluster.mmpp().mean_rate();
+  qbd::LevelDependentBlocks blocks =
+      qbd::cluster_level_dependent_blocks(cluster, cfg.nu_p, cfg.delta, lambda);
+  for (linalg::Matrix& svc : blocks.service) svc = blocks.service.back();
+
+  const qbd::QbdSolution ld(blocks);
+  const qbd::QbdSolution hom = solve(cluster.mmpp(), lambda);
+  const double d_mean =
+      rel_diff(ld.mean_queue_length(), hom.mean_queue_length());
+  const double d_tail = rel_diff(ld.tail(10), hom.tail(10));
+  const std::string detail = format("C=%zu dmean=%.3e dtail=%.3e",
+                                    ld.boundary_levels(), d_mean, d_tail);
+  if (d_mean > 1e-9 || d_tail > 1e-9) {
+    return fail(cfg, "ld-vs-homogeneous violated: " + detail);
   }
   return {true, detail};
 }

@@ -18,6 +18,9 @@
 //                       the arrival rate
 //   tail-exponent       in blow-up region i the queue pmf decays with the
 //                       paper's exponent beta_i = i(alpha - 1) + 1
+//   ld-vs-homogeneous   level-dependent blocks with constant service are
+//                       the homogeneous queue, solved through C boundary
+//                       levels instead of one
 //
 // tests/metamorphic_test.cpp runs each relation over a battery of draws;
 // PERFORMA_METAMORPHIC_MODELS / PERFORMA_METAMORPHIC_SEED scale the
@@ -79,6 +82,9 @@ RelationOutcome check_tail_exponent(const ModelDraw& draw);
 /// order of the heterogeneous matrix-free operator must permute -- not
 /// change -- its action.
 RelationOutcome check_kron_matrix_free(const ModelDraw& draw);
+/// Cross-path relation: level-dependent blocks whose every service level
+/// equals the top level must reproduce the homogeneous solve.
+RelationOutcome check_level_dependent_vs_homogeneous(const ModelDraw& draw);
 
 /// Battery size: $PERFORMA_METAMORPHIC_MODELS, else `fallback`.
 unsigned metamorphic_model_count(unsigned fallback);

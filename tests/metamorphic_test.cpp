@@ -5,8 +5,8 @@
 // environment so CI can scale the drill up and any failure replays
 // locally:
 //
-//   PERFORMA_METAMORPHIC_MODELS=40 PERFORMA_METAMORPHIC_SEED=20260807 \
-//     ctest -R Metamorphic
+//   export PERFORMA_METAMORPHIC_MODELS=40 PERFORMA_METAMORPHIC_SEED=20260807
+//   ctest -R Metamorphic
 //
 // Every failure message carries the seed and full model spec.
 #include <gtest/gtest.h>
@@ -55,6 +55,12 @@ TEST_P(Metamorphic, BlowupTailExponentMatchesBeta) {
 TEST_P(Metamorphic, MatrixFreeKroneckerAgreesWithDense) {
   const RelationOutcome out =
       check_kron_matrix_free(draw_model(Seed(GetParam())));
+  EXPECT_TRUE(out.pass) << out.detail;
+}
+
+TEST_P(Metamorphic, LevelDependentWithConstantServiceMatchesHomogeneous) {
+  const RelationOutcome out =
+      check_level_dependent_vs_homogeneous(draw_model(Seed(GetParam())));
   EXPECT_TRUE(out.pass) << out.detail;
 }
 

@@ -7,6 +7,7 @@
 
 #include "core/mm1.h"
 #include "medist/tpt.h"
+#include "obs/deadline.h"
 #include "test_util.h"
 
 namespace performa::qbd {
@@ -57,6 +58,60 @@ TEST(LevelDependent, ComputesNoSpectralRadius) {
   EXPECT_TRUE(std::isnan(sol.report().spectral_radius));
   EXPECT_EQ(sol.report().summary().find("sp(R)"), std::string::npos)
       << sol.report().summary();
+}
+
+TEST(LevelDependent, SingleServiceLevelReproducesHomogeneousBitForBit) {
+  // One service level is the C = 1 shape, i.e. the M/MMPP/1 queue itself:
+  // both constructions run the same boundary solve, refinement and
+  // metrics, so every released number agrees to the last bit.
+  const auto agg = PaperCluster(10, 2);
+  const map::Mmpp& mmpp = agg.mmpp();
+  const double lambda = 0.3 * mmpp.mean_rate();
+  LevelDependentBlocks blocks;
+  blocks.q = mmpp.generator();
+  blocks.lambda = lambda;
+  blocks.service = {mmpp.rate_matrix()};
+  const LevelDependentSolution ld(blocks);
+  const QbdSolution hom(m_mmpp_1(mmpp, lambda));
+
+  ASSERT_EQ(ld.boundary_levels(), 1u);
+  EXPECT_EQ(ld.mean_queue_length(), hom.mean_queue_length());
+  for (std::size_t k = 0; k <= 20; ++k) {
+    EXPECT_EQ(ld.pmf(k), hom.pmf(k)) << "k=" << k;
+  }
+  EXPECT_EQ(ld.tail(5), hom.tail(5));
+  for (std::size_t i = 0; i < mmpp.dim(); ++i) {
+    EXPECT_EQ(ld.pi(0)[i], hom.pi0()[i]) << "i=" << i;
+    EXPECT_EQ(ld.pi(1)[i], hom.pi1()[i]) << "i=" << i;
+  }
+}
+
+TEST(LevelDependent, LooseToleranceClimbsTheLadderAndHeals) {
+  // Linearly convergent successive substitution stopped at a loose
+  // tolerance leaves the first answer suspect; the ladder repairs it and
+  // the trail records how.
+  const auto blocks =
+      cluster_level_dependent_blocks(PaperCluster(3, 2), 2.0, 0.2, 2.0);
+  SolverOptions loose;
+  loose.algorithm = RAlgorithm::kSuccessiveSubstitution;
+  loose.tolerance = 1e-6;
+  const LevelDependentSolution sol(blocks, loose);
+  EXPECT_EQ(sol.trust().verdict, TrustVerdict::kCertified)
+      << sol.trust().to_string();
+  EXPECT_EQ(sol.trust().refinements, 1u);
+  EXPECT_EQ(sol.trust().healing.rfind("refine", 0), 0u) << sol.trust().healing;
+  EXPECT_NE(sol.trust().healing.find("->certified"), std::string::npos)
+      << sol.trust().healing;
+  const LevelDependentSolution tight(blocks);
+  ExpectClose(sol.mean_queue_length(), tight.mean_queue_length(), 1e-9,
+              "healed E[Q]");
+}
+
+TEST(LevelDependent, ExpiredDeadlineThrowsDeadlineExceeded) {
+  const auto blocks =
+      cluster_level_dependent_blocks(PaperCluster(2, 2), 2.0, 0.2, 2.0);
+  obs::DeadlineScope scope(obs::Deadline::after_seconds(0.0));
+  EXPECT_THROW(LevelDependentSolution{blocks}, DeadlineExceeded);
 }
 
 TEST(LevelDependent, MoreConservativeThanLoadIndependent) {

@@ -68,7 +68,7 @@ TEST(QbdRepairFacility, ContentionSolveIsTrustCertified) {
   EXPECT_EQ(sol.trust().verdict, TrustVerdict::kCertified)
       << sol.trust().summary();
   EXPECT_TRUE(sol.report().converged);
-  ASSERT_EQ(sol.trust().checks.size(), 3u);
+  ASSERT_EQ(sol.trust().checks.size(), 6u);
 }
 
 TEST(QbdRepairFacility, TrustCanBeDisabled) {
