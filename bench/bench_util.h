@@ -4,9 +4,18 @@
 // paper it regenerates, with the parameters) followed by CSV rows, so the
 // output can be piped into any plotting tool.
 //
-// Simulation-backed figures accept the environment variable
-// PERFORMA_BENCH_SCALE (default 1): cycles and replications are multiplied
-// by it. Scale 10 reproduces the paper's 2e5-cycle / 10-replication runs.
+// Simulation-backed harnesses accept the environment variable
+// PERFORMA_BENCH_SCALE (default 1): UP/DOWN cycles per run, and the
+// replication count where a harness replicates, are multiplied by it.
+// The paper simulates 2e5 cycles x 10 replications; the scale that reaches
+// its 2e5 cycles differs per harness, and the replication count there
+// exceeds the paper's:
+//   fig7  20000 cycles x 3 replications; scale 10 gives 2e5 x 30
+//   fig8  40000 cycles x 5 replications; scale 5 gives 2e5 x 25
+//   fig9  40000 cycles x 5 replications; scale 5 gives 2e5 x 25
+//   ext4  20000 cycles, one run (no paper counterpart)
+//   ext5  60000 cycles, one run (no paper counterpart)
+// Each harness's banner names its own paper scale.
 //
 // Figures ported to the supervised runner (fig1, fig3, fig7) additionally
 // honour:

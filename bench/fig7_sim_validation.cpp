@@ -35,7 +35,7 @@ int main() {
   const std::size_t reps = std::max<std::size_t>(
       3, static_cast<std::size_t>(3 * bench::scale_factor()));
   std::printf("# simulation: %zu UP/DOWN cycles per run, %zu replications "
-              "(paper: 2e5 cycles; set PERFORMA_BENCH_SCALE=10)\n",
+              "(paper: 2e5 x 10; PERFORMA_BENCH_SCALE=10 gives 2e5 x 30)\n",
               cycles, reps);
 
   // Each rho is one supervised point (the expensive stage of this figure

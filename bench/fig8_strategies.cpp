@@ -52,7 +52,7 @@ int main() {
   const std::size_t reps = std::max<std::size_t>(
       5, static_cast<std::size_t>(5 * bench::scale_factor()));
   std::printf("# nu_bar = %.2f; simulation: %zu cycles x %zu replications "
-              "(paper: 2e5 x 10; set PERFORMA_BENCH_SCALE=5)\n",
+              "(paper: 2e5 x 10; PERFORMA_BENCH_SCALE=5 gives 2e5 x 25)\n",
               model.mean_service_rate(), cycles, reps);
 
   std::printf(

@@ -36,7 +36,9 @@ int main() {
   const std::size_t cycles = bench::scaled(40000);
   const std::size_t reps = std::max<std::size_t>(
       5, static_cast<std::size_t>(5 * bench::scale_factor()));
-  std::printf("# simulation: %zu cycles x %zu replications\n", cycles, reps);
+  std::printf("# simulation: %zu cycles x %zu replications "
+              "(paper: 2e5 x 10; PERFORMA_BENCH_SCALE=5 gives 2e5 x 25)\n",
+              cycles, reps);
   std::printf("# note: under Restart, high-variance tasks can make the "
               "effective load exceed 1 (completion times become power-"
               "tailed, see Fiorini et al. 2006); very large values at "

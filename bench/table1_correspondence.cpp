@@ -50,9 +50,10 @@ int main() {
   const double rho = 0.7;
   const auto cluster_sol = cluster.solve(cluster.lambda_for_rho(rho));
   const auto telco_sol = telco.solve(telco.mu_for_rho(rho));
-  std::printf("\n# both models solved at rho = %.1f:\n", rho);
-  std::printf("cluster E[Q] = %.4f, telco E[Q] = %.4f\n",
-              cluster_sol.mean_queue_length(), telco_sol.mean_queue_length());
+  std::printf("\n# both models solved at the same utilization:\n");
+  std::printf("rho,cluster_mean_ql,telco_mean_ql\n");
+  std::printf("%.1f,%.4f,%.4f\n", rho, cluster_sol.mean_queue_length(),
+              telco_sol.mean_queue_length());
   std::printf("# (the queue-length processes are analogous, not identical: "
               "arrival- vs service-side modulation)\n");
   return 0;

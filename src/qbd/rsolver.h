@@ -38,7 +38,7 @@ struct SolverOptions {
   RAlgorithm algorithm = RAlgorithm::kLogarithmicReduction;
   /// When the preferred algorithm fails, escalate through the remaining
   /// tiers instead of throwing immediately. Disable to reproduce the
-  /// single-algorithm behaviour (ablation benches).
+  /// single-algorithm behaviour (the A2 iteration-count test).
   bool enable_fallbacks = true;
   /// A posteriori verification thresholds and self-healing switches,
   /// applied by QbdSolution's solving constructor (see qbd/trust.h).

@@ -230,7 +230,7 @@ void QbdSolution::solve(const BoundaryLevels& lv, const SolverOptions& opts) {
   report_ = std::move(rs.report);
 
   assemble(lv);
-  if (opts.trust.enabled) certify(lv, opts);
+  certify(lv, opts);
 }
 
 QbdSolution::QbdSolution(Matrix r, Vector pi0, Vector pi1,
@@ -364,20 +364,20 @@ const TrustReport& QbdSolution::verify(const QbdBlocks& blocks,
 }
 
 void QbdSolution::refine(const QbdBlocks& blocks) {
-  newton_refine(homogeneous_levels(blocks));
+  fixed_point_refine(homogeneous_levels(blocks));
   report_.spectral_radius = spectral_radius(r_);
 }
 
-void QbdSolution::newton_refine(const BoundaryLevels& lv) {
+void QbdSolution::fixed_point_refine(const BoundaryLevels& lv) {
   PERFORMA_SPAN("qbd.solution.refine");
   static obs::Counter& refinements = obs::counter("qbd.trust.refinements");
   refinements.add();
-  // One-sided Newton step from the current iterate:
+  // One linear fixed-point step from the current iterate:
   //   R' = A0 (-(A1 + R A2))^{-1}.
-  // The map contracts toward the minimal solution from any nearby
-  // perturbed iterate, so a single step strips an injected perturbation
-  // down to roundoff; the boundary re-solve then re-normalizes the
-  // probability mass against the refined tail closure exactly.
+  // It shrinks a perturbation of R by about sp(R): enough for an injected
+  // ulp, not for an R that a linear solver stopped short of the fixed
+  // point (DESIGN.md section 11). The boundary re-solve then re-normalizes
+  // the probability mass against the refined tail closure exactly.
   const QbdBlocks& blocks = lv.tail;
   const linalg::Lu shifted(-1.0 * (blocks.a1 + r_ * blocks.a2));
   Matrix next = shifted.solve_left(blocks.a0);
@@ -468,7 +468,7 @@ void QbdSolution::certify(const BoundaryLevels& lv, const SolverOptions& opts) {
     // Rung 1: one self-healing refinement pass. (The constructor computes
     // sp(R) once the ladder has settled, so no rung computes it.)
     rung("refine", [&] {
-      newton_refine(lv);
+      fixed_point_refine(lv);
       ++refinements;
     });
     // Rung 2: tighter-tolerance re-solve from scratch.

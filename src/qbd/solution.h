@@ -13,8 +13,8 @@
 // released solution carries a TrustReport, and a suspect first verdict
 // triggers the self-healing escalation ladder
 //
-//   1. one iterative-refinement pass (Newton step on R from the current
-//      iterate + fresh boundary solve),
+//   1. one iterative-refinement pass (a linear fixed-point step on R from
+//      the current iterate + fresh boundary solve),
 //   2. a tighter-tolerance re-solve,
 //   3. a re-solve on an alternate solver tier,
 //
@@ -123,7 +123,7 @@ class QbdSolution {
   const TrustReport& verify(const QbdBlocks& blocks,
                             const TrustPolicy& policy = {});
 
-  /// One self-healing pass on a QbdBlocks solution: a one-sided Newton
+  /// One self-healing pass on a QbdBlocks solution: a linear fixed-point
   /// step on R from the current iterate plus a fresh boundary solve (with
   /// one step of iterative refinement), then sp(R) of the new R. Leaves
   /// the trust report untouched -- callers re-verify.
@@ -136,7 +136,7 @@ class QbdSolution {
   /// (I-R)^{-1} + boundary solve + range clips, from the current r_.
   void assemble(const BoundaryLevels& lv);
   /// refine() without the sp(R) update (the escalation ladder's rung 1).
-  void newton_refine(const BoundaryLevels& lv);
+  void fixed_point_refine(const BoundaryLevels& lv);
   /// Grade the current state, reusing `r_resid` as the (already scaled)
   /// R-residual instead of recomputing it.
   void run_checks(const BoundaryLevels& lv, const TrustPolicy& policy,

@@ -61,13 +61,12 @@ struct TrustCheck {
   double severity() const noexcept;
 };
 
-/// Thresholds and switches for verification. The certified thresholds sit
-/// ~3 orders of magnitude above the empirical double-precision floors of
-/// healthy solves (see DESIGN.md section 11), the rejection thresholds
-/// ~3 further orders up: a rejected answer is not borderline, it is wrong
-/// in digits a caller would read.
+/// Thresholds for the verification every solving construction runs. The
+/// certified thresholds sit ~3 orders of magnitude above the empirical
+/// double-precision floors of healthy solves (see DESIGN.md section 11),
+/// the rejection thresholds ~3 further orders up: a rejected answer is not
+/// borderline, it is wrong in digits a caller would read.
 struct TrustPolicy {
-  bool enabled = true;   ///< verify every solving construction
   bool escalate = true;  ///< run the self-healing ladder on suspect
 
   double r_residual_certified = 1e-9;
@@ -94,8 +93,7 @@ struct TrustPolicy {
 /// measurements plus the collapsed verdict and the healing trail that led
 /// to it.
 struct TrustReport {
-  /// False until a verification actually ran (policy disabled, or a
-  /// default-constructed solution); the verdict is meaningless then.
+  /// False until a verification ran; the verdict is meaningless then.
   bool verified = false;
   TrustVerdict verdict = TrustVerdict::kSuspect;
   std::vector<TrustCheck> checks;

@@ -71,16 +71,6 @@ TEST(QbdRepairFacility, ContentionSolveIsTrustCertified) {
   ASSERT_EQ(sol.trust().checks.size(), 6u);
 }
 
-TEST(QbdRepairFacility, TrustCanBeDisabled) {
-  const map::RepairFacility fac = Facility(2, 1, 0, 2);
-  SolverOptions opts;
-  opts.trust.enabled = false;
-  const LevelDependentSolution sol(
-      repair_facility_level_dependent_blocks(fac, 0.5 * fac.mmpp().mean_rate()),
-      opts);
-  EXPECT_FALSE(sol.trust().verified);
-}
-
 TEST(QbdRepairFacility, SerialRepairMateriallyWorseAtHighVariance) {
   // One crew vs. unconstrained repairs under TPT (T = 5) repair times at
   // the same arrival rate: contention must show up as a materially longer

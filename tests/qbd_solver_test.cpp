@@ -59,7 +59,8 @@ TEST(RSolver, AlgorithmsAgree) {
   // SS converges linearly at rate sp(R); use a mild model (exponential
   // repair, low load) where sp(R) is small enough for SS to be practical.
   // Heavy-tail models at high load drive sp(R) -> 1 and make SS useless;
-  // that gap is quantified in bench/perf_qbd_solver.
+  // RSolver.SuccessiveSubstitutionNeedsManyTimesTheIterations counts the
+  // gap.
   const auto blocks = m_mmpp_1(PaperClusterMmpp(2, 2), 1.0);
   SolverOptions ss;
   ss.algorithm = RAlgorithm::kSuccessiveSubstitution;
@@ -67,6 +68,37 @@ TEST(RSolver, AlgorithmsAgree) {
   const auto r_lr = solve_r(blocks).r;
   const auto r_ss = solve_r(blocks, ss).r;
   EXPECT_LT(linalg::max_abs_diff(r_lr, r_ss), 1e-7);
+}
+
+TEST(RSolver, SuccessiveSubstitutionNeedsManyTimesTheIterations) {
+  // Ablation A2, why logarithmic reduction is the default: it converges
+  // quadratically, successive substitution linearly at rate ~sp(R). On
+  // the paper's cluster (N = 2) with TPT repair the counts were 8 vs 297
+  // at T = 2, rho = 0.5 (6 phases) and 13 vs 8689 at T = 5, rho = 0.7
+  // (21 phases), with SS stopped at the looser tolerance 1e-8. The bounds
+  // below leave room for a few iterations of platform drift.
+  struct Case {
+    unsigned t;
+    double rho;
+    double min_ratio;
+  };
+  for (const Case c : {Case{2, 0.5, 25.0}, Case{5, 0.7, 400.0}}) {
+    const auto mmpp = PaperClusterMmpp(c.t, 2);
+    const auto blocks = m_mmpp_1(mmpp, c.rho * mmpp.mean_rate());
+    const RSolveResult lr = solve_r(blocks);
+    SolverOptions ss;
+    ss.algorithm = RAlgorithm::kSuccessiveSubstitution;
+    ss.enable_fallbacks = false;
+    ss.tolerance = 1e-8;
+    const RSolveResult slow = solve_r(blocks, ss);
+    ASSERT_EQ(lr.report.winner, SolveAlgorithm::kLogarithmicReduction);
+    ASSERT_EQ(slow.report.winner, SolveAlgorithm::kSuccessiveSubstitution);
+    EXPECT_LE(lr.iterations, 16u) << "T=" << c.t;
+    EXPECT_GE(static_cast<double>(slow.iterations),
+              c.min_ratio * static_cast<double>(lr.iterations))
+        << "T=" << c.t << ": SS " << slow.iterations << " vs LR "
+        << lr.iterations;
+  }
 }
 
 TEST(RSolver, GIsStochasticForStableQueue) {

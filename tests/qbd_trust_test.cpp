@@ -97,9 +97,10 @@ TEST(TrustSolveTest, UlpCorruptionDetectedAsSuspectAndHealedByRefinement) {
   const double lambda = model.lambda_for_rho(0.9);
   const auto blocks = m_mmpp_1(model.aggregate().mmpp(), lambda);
 
-  SolverOptions opts;
-  opts.trust.enabled = false;  // take the raw answer, corrupt it ourselves
-  auto sol = model.solve(lambda, opts);
+  // Start from the certified answer and corrupt it ourselves.
+  const auto sol = model.solve(lambda);
+  ASSERT_EQ(sol.trust().verdict, TrustVerdict::kCertified)
+      << sol.trust().to_string();
 
   // Rot every entry of R by one ulp upward -- the smallest representable
   // corruption a bad journal or bit flip could inject.
@@ -171,15 +172,6 @@ TEST(TrustSolveTest, DraconianPolicyThrowsTrustRejectedWithEvidence) {
     EXPECT_GE(e.trust().refinements + e.trust().resolves, 1u);
     EXPECT_NE(std::string(e.what()).find("r-residual"), std::string::npos);
   }
-}
-
-TEST(TrustSolveTest, VerificationCanBeDisabledEntirely) {
-  const ClusterModel model(LoadedTptCluster());
-  SolverOptions opts;
-  opts.trust.enabled = false;
-  const auto sol = model.solve(model.lambda_for_rho(0.9), opts);
-  EXPECT_FALSE(sol.trust().verified);
-  EXPECT_TRUE(sol.trust().checks.empty());
 }
 
 TEST(TrustSolveTest, RehydratedSolutionCarriesReducedReport) {
