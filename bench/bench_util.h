@@ -17,7 +17,7 @@
 //   ext5  60000 cycles, one run (no paper counterpart)
 // Each harness's banner names its own paper scale.
 //
-// Figures ported to the supervised runner (fig1, fig3, fig7) additionally
+// Harnesses ported to the supervised runner (fig1, fig3, fig7, ext9) also
 // honour:
 //   PERFORMA_CHECKPOINT     checkpoint file (completed points appended)
 //   PERFORMA_RESUME=1       reuse completed points from the checkpoint
@@ -28,8 +28,11 @@
 //                           hardware thread; the CSV is identical either way)
 //   PERFORMA_PROGRESS=1     stderr line per completed point
 //   PERFORMA_TRACE          trace_event JSONL trace of the run (Perfetto)
-//   PERFORMA_METRICS        metrics-registry JSON snapshot written at the
-//                           end of the sweep
+//   PERFORMA_METRICS        metrics registry written at the end of the
+//                           sweep as Prometheus text (format 0.0.4)
+//   PERFORMA_LOG            NDJSON log file (default stderr); forked
+//                           workers' lines are merged into it
+//   PERFORMA_LOG_LEVEL      debug|info|warn|error (default info)
 #pragma once
 
 #include <cstdio>
@@ -38,6 +41,7 @@
 
 #include "linalg/kernels.h"
 #include "linalg/pool.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runner/golden.h"
@@ -58,11 +62,13 @@ inline std::size_t scaled(std::size_t base) {
 }
 
 /// Sweep-runner options from the PERFORMA_* environment (see file header).
-/// Also arms tracing/metrics output from $PERFORMA_TRACE/$PERFORMA_METRICS
-/// so every runner-backed figure harness is traceable without code changes.
+/// Also arms trace, metrics and log output from $PERFORMA_TRACE,
+/// $PERFORMA_METRICS and $PERFORMA_LOG(_LEVEL), so every runner-backed
+/// figure harness is observable without code changes.
 inline runner::SweepOptions sweep_options_from_env() {
   obs::init_trace_from_env();
   obs::init_metrics_from_env();
+  obs::init_log_from_env();
   runner::SweepOptions opts;
   opts.jobs = 0;  // one worker per hardware thread unless overridden
   if (const char* v = std::getenv("PERFORMA_CHECKPOINT")) {

@@ -24,9 +24,9 @@
 //                        when stderr is not a tty)
 //   --trace <path>       write a Chrome trace_event JSONL trace (loads in
 //                        Perfetto / about://tracing); $PERFORMA_TRACE too
-//   --metrics <path>     dump the metrics registry as JSON at exit;
+//   --metrics <path>     dump the metrics registry at exit as Prometheus
+//                        text (0.0.4, what performad's /metrics serves);
 //                        $PERFORMA_METRICS too
-//   --metrics-prom <path> dump the registry in Prometheus text format
 //   --trust-floor <x>    clamp every verification threshold to x (0 forces
 //                        the TrustRejected exit-4 path for drills)
 //   --threads <n>        linalg pool width for the blocked kernels
@@ -62,7 +62,6 @@
 #include "qbd/level_dependent.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/prometheus.h"
 #include "obs/trace.h"
 #include "qbd/solve_report.h"
 #include "qbd/trust.h"
@@ -83,8 +82,7 @@ struct Flags {
   std::string checkpoint;  // sweep checkpoint path (empty = off)
   std::string golden;      // golden-result file to compare against
   std::string trace;       // trace_event JSONL output path (empty = off)
-  std::string metrics;     // metrics JSON output path (empty = off)
-  std::string metrics_prom;  // Prometheus text-format output path
+  std::string metrics;     // metrics output path (empty = off)
   double trust_floor = -1.0;  // >= 0: clamp every trust threshold to this
   bool resume = false;
   bool sync = false;
@@ -490,10 +488,9 @@ void Usage() {
       "                       lines when stderr is not a tty)\n"
       "  --trace <path>       write a Perfetto-loadable trace_event JSONL\n"
       "                       trace ($PERFORMA_TRACE works too)\n"
-      "  --metrics <path>     dump the metrics registry as JSON at exit\n"
+      "  --metrics <path>     dump the metrics registry at exit as\n"
+      "                       Prometheus text, format 0.0.4\n"
       "                       ($PERFORMA_METRICS works too)\n"
-      "  --metrics-prom <path> dump the metrics registry in Prometheus\n"
-      "                       text format (0.0.4) at exit\n"
       "  --trust-floor <x>    clamp every verification threshold to x\n"
       "                       (0 forces rejection of any imperfect answer;\n"
       "                       exercises the exit-4 trust-rejection path)\n"
@@ -546,8 +543,6 @@ Flags StripFlags(int& argc, char** argv) {
       flags.trace = value(i, "--trace");
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       flags.metrics = value(i, "--metrics");
-    } else if (std::strcmp(argv[i], "--metrics-prom") == 0) {
-      flags.metrics_prom = value(i, "--metrics-prom");
     } else if (std::strcmp(argv[i], "--trust-floor") == 0) {
       flags.trust_floor = std::atof(value(i, "--trust-floor"));
     } else if (std::strcmp(argv[i], "--resume") == 0) {
@@ -607,9 +602,6 @@ Flags StripFlags(int& argc, char** argv) {
 
 }  // namespace
 
-// Prometheus dump path for FinishObservability (set once in main).
-std::string g_metrics_prom;
-
 // Flush observability outputs on every exit path: the trace sink closes
 // cleanly and the metrics snapshot lands where --metrics pointed. The
 // linalg pool is joined first so the snapshot reports zero live workers
@@ -622,9 +614,6 @@ int FinishObservability(int code) {
     obs::flush_trace();
     obs::disable_trace();
     obs::write_metrics_if_configured();
-    if (!g_metrics_prom.empty()) {
-      obs::write_prometheus_file(g_metrics_prom);
-    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "perfctl: observability flush failed: %s\n",
                  e.what());
@@ -649,7 +638,6 @@ int main(int argc, char** argv) {
     } else {
       obs::init_metrics_from_env();
     }
-    g_metrics_prom = flags.metrics_prom;
     obs::init_log_from_env();
     // One qid per perfctl invocation: every span and SolveReport this
     // run produces carries it, mirroring the daemon's per-request ids.

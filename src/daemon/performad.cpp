@@ -54,9 +54,9 @@ void usage(const char* argv0) {
       "                       clean exit)\n"
       "\n"
       "Telemetry env: PERFORMA_LOG (NDJSON log path), PERFORMA_LOG_LEVEL,\n"
-      "PERFORMA_FLIGHT (like --flight), PERFORMA_TRACE, PERFORMA_METRICS.\n"
-      "GET /metrics on the TCP or Unix listener answers a Prometheus\n"
-      "text-format scrape.\n",
+      "PERFORMA_FLIGHT (like --flight), PERFORMA_TRACE, PERFORMA_METRICS\n"
+      "(path of a Prometheus text dump written at exit). GET /metrics on\n"
+      "the TCP or Unix listener answers the same text as a scrape.\n",
       argv0);
 }
 

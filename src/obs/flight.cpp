@@ -31,7 +31,6 @@ char* g_base = nullptr;
 std::atomic<std::uint64_t> g_next{0};
 std::mutex g_mutex;
 std::string g_path;
-std::string g_prefix;
 bool g_handlers_installed = false;
 
 // Async-signal-safe unsigned decimal formatting; returns chars written.
@@ -134,7 +133,6 @@ bool init_flight(const std::string& path_prefix) {
   }
   g_base = static_cast<char*>(map);
   g_path = path;
-  g_prefix = path_prefix;
   g_next.store(0, std::memory_order_relaxed);
 
   char header[kFlightSlotBytes];
@@ -175,18 +173,6 @@ std::string flight_path() {
 void disable_flight(bool keep_file) noexcept {
   std::lock_guard<std::mutex> lock(g_mutex);
   detach_locked(keep_file);
-}
-
-void reopen_flight_in_child() {
-  std::string prefix;
-  {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    if (!flight_enabled()) return;
-    // The mapped file belongs to the parent; let go without unlinking.
-    detach_locked(/*keep_file=*/true);
-    prefix = g_prefix;
-  }
-  init_flight(prefix);
 }
 
 }  // namespace performa::obs

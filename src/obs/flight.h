@@ -59,13 +59,7 @@ void flight_record(const char* data, std::size_t len) noexcept;
 std::string flight_path();
 
 /// Stop recording and unlink the file (clean shutdown: no crash, no
-/// evidence). keep_file=true detaches without unlinking -- used by a
-/// forked child letting go of its parent's mapping.
+/// evidence). keep_file=true detaches without unlinking.
 void disable_flight(bool keep_file = false) noexcept;
-
-/// Call in a freshly forked child: detach from the parent's flight
-/// file (without unlinking it) and open a private one under the same
-/// prefix and the child's pid. No-op when the parent had no flight.
-void reopen_flight_in_child();
 
 }  // namespace performa::obs

@@ -13,6 +13,7 @@
 #include <stdexcept>
 
 #include "obs/flight.h"
+#include "obs/sink_hooks.h"
 #include "obs/trace.h"
 
 namespace performa::obs {
@@ -75,12 +76,6 @@ void install_log_fd(int fd, std::string path) {
   if (reg.fd != STDERR_FILENO) ::close(reg.fd);
   reg.fd = fd;
   reg.path = std::move(path);
-}
-
-// A structurally complete NDJSON line: `{...}` (the emitter writes one
-// '\n'-terminated object per write(2)).
-bool is_complete_log_record(const std::string& line) {
-  return line.size() >= 2 && line.front() == '{' && line.back() == '}';
 }
 
 // Query-id state: the std::string is what the process reads; the fixed
@@ -171,32 +166,15 @@ void reset_log_for_test() {
                             std::memory_order_relaxed);
 }
 
-void reopen_log_in_child(const std::string& fragment_path) {
-  // The inherited fd is the parent's: close our copy and swap in a
-  // private fragment. Nothing buffers between lines, so no parent
-  // bytes can be duplicated.
-  const int fd =
-      ::open(fragment_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    install_log_fd(STDERR_FILENO, "");  // run unlogged-to-file
-    return;
-  }
-  install_log_fd(fd, fragment_path);
-}
+namespace detail {
 
-std::size_t merge_log_fragment(const std::string& fragment_path) {
-  const std::vector<std::string> lines = take_fragment_lines(fragment_path);
-  std::size_t merged = 0;
+void append_log_lines(const std::string& lines) {
   LogRegistry& reg = log_registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const std::string& line : lines) {
-    if (!is_complete_log_record(line)) continue;
-    const std::string out = line + '\n';
-    write_all_fd(reg.fd, out.data(), out.size());
-    ++merged;
-  }
-  return merged;
+  write_all_fd(reg.fd, lines.data(), lines.size());
 }
+
+}  // namespace detail
 
 bool LogSite::admit() noexcept {
   const std::int64_t now = monotonic_ns();

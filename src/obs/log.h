@@ -22,10 +22,9 @@
 // silently.
 //
 // Fork boundary: like the trace sink, a forked worker must not share
-// the parent's log fd offset bookkeeping. reopen_log_in_child() points
-// the child at a private fragment file; merge_log_fragment() appends
-// the fragment's structurally complete lines back to the parent sink
-// and drops a torn tail from a SIGKILLed writer.
+// the parent's log fd offset bookkeeping. obs::ForkHandoff (fork.h)
+// points the child at a private fragment file and appends its complete
+// lines back to the parent sink on reap, dropping a torn tail.
 //
 // Every line automatically carries ts (unix seconds), level, event,
 // pid, tid, and -- when a QueryIdScope is active on the thread -- the
@@ -68,7 +67,7 @@ void set_log_level(LogLevel level);
 void set_log_file(const std::string& path);
 
 /// Path of the installed file sink; empty when logging to stderr.
-/// Workers derive fragment paths from this.
+/// ForkHandoff derives fragment paths from this.
 const std::string& log_file_path();
 
 /// Honor $PERFORMA_LOG (sink path) and $PERFORMA_LOG_LEVEL
@@ -79,17 +78,6 @@ bool init_log_from_env();
 /// Close any file sink and return to stderr at the default level
 /// (tests).
 void reset_log_for_test();
-
-/// Call in a freshly forked child: replaces the inherited sink with a
-/// private fragment file (falling back to stderr when it cannot be
-/// opened).
-void reopen_log_in_child(const std::string& fragment_path);
-
-/// Append a worker fragment's structurally complete lines to the
-/// current sink and unlink the fragment; a torn final line is dropped.
-/// Returns the number of lines merged. Safe when the fragment does not
-/// exist.
-std::size_t merge_log_fragment(const std::string& fragment_path);
 
 /// Per-call-site token bucket. Zero-initialized statics start full.
 struct LogSite {

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <variant>
 
+#include "obs/prometheus.h"
+
 namespace performa::obs {
 
 void Gauge::add(double delta) noexcept {
@@ -137,45 +139,6 @@ const MetricsSnapshot::Entry* MetricsSnapshot::find(
   return nullptr;
 }
 
-std::string MetricsSnapshot::to_json() const {
-  std::string out = "{\"metrics\":[";
-  bool first = true;
-  char buf[192];
-  for (const Entry& e : entries) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"";
-    out += e.name;  // registry names are code literals: no escaping needed
-    out += "\",\"kind\":\"";
-    switch (e.kind) {
-      case Entry::Kind::kCounter:
-        out += "counter\"";
-        std::snprintf(buf, sizeof buf, ",\"value\":%.17g", e.value);
-        out += buf;
-        break;
-      case Entry::Kind::kGauge:
-        out += "gauge\"";
-        std::snprintf(buf, sizeof buf, ",\"value\":%.17g", e.value);
-        out += buf;
-        break;
-      case Entry::Kind::kHistogram:
-        out += "histogram\"";
-        std::snprintf(buf, sizeof buf,
-                      ",\"count\":%llu,\"sum\":%.17g,\"mean\":%.17g"
-                      ",\"p50\":%.6g,\"p90\":%.6g,\"p99\":%.6g"
-                      ",\"overflow\":%llu",
-                      static_cast<unsigned long long>(e.count), e.sum, e.value,
-                      e.p50, e.p90, e.p99,
-                      static_cast<unsigned long long>(e.overflow));
-        out += buf;
-        break;
-    }
-    out += '}';
-  }
-  out += "]}";
-  return out;
-}
-
 MetricsSnapshot snapshot_metrics() {
   MetricsRegistry& reg = metrics_registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
@@ -197,9 +160,6 @@ MetricsSnapshot snapshot_metrics() {
       e.count = h.count();
       e.sum = h.sum();
       e.value = h.mean();
-      e.p50 = h.quantile(0.5);
-      e.p90 = h.quantile(0.9);
-      e.p99 = h.quantile(0.99);
       e.buckets.resize(Histogram::kBuckets);
       for (int b = 0; b < Histogram::kBuckets; ++b) e.buckets[b] = h.bucket(b);
       e.overflow = h.overflow();
@@ -215,10 +175,12 @@ void write_metrics_file(const std::string& path) {
   if (f == nullptr) {
     throw std::runtime_error("obs: cannot open metrics file: " + path);
   }
-  const std::string json = snapshot_metrics().to_json();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
+  const std::string text = prometheus_metrics();
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (std::fclose(f) != 0 || !written) {
+    throw std::runtime_error("obs: cannot write metrics file: " + path);
+  }
 }
 
 void set_metrics_path(const std::string& path) {

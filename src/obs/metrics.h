@@ -15,9 +15,9 @@
 // compiles every update path to a true no-op.
 //
 // Metrics are per-process: a forked worker inherits a snapshot of the
-// registry and its increments die with it (its spans are merged back
-// via the trace fragment instead). The supervisor's registry describes
-// the supervisor.
+// registry and its increments die with it (its spans and log lines are
+// merged back through obs::ForkHandoff instead). The supervisor's
+// registry describes the supervisor.
 #pragma once
 
 #include <atomic>
@@ -126,7 +126,6 @@ struct MetricsSnapshot {
     double value = 0.0;         ///< counter/gauge value; histogram mean
     std::uint64_t count = 0;    ///< histogram sample count
     double sum = 0.0;           ///< histogram sample sum
-    double p50 = 0.0, p90 = 0.0, p99 = 0.0;
     std::vector<std::uint64_t> buckets;  ///< histogram per-bucket counts
     std::uint64_t overflow = 0;          ///< samples above the top bucket
     double overflow_max = 0.0;           ///< largest overflow sample
@@ -134,14 +133,14 @@ struct MetricsSnapshot {
   std::vector<Entry> entries;  ///< sorted by name
 
   const Entry* find(const std::string& name) const noexcept;
-  /// One JSON object: {"metrics":[{...},...]}.
-  std::string to_json() const;
 };
 
 MetricsSnapshot snapshot_metrics();
 
-/// Write snapshot_metrics().to_json() to `path` (perfctl --metrics).
-/// Throws std::runtime_error when the file cannot be written.
+/// Write the registry to `path` as Prometheus text exposition (the
+/// format performad's /metrics serves; prometheus.h). Throws
+/// std::runtime_error when the file cannot be opened, written or
+/// closed.
 void write_metrics_file(const std::string& path);
 
 /// Remember $PERFORMA_METRICS as the metrics output path. Returns true

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <map>
 #include <set>
-#include <stdexcept>
 
 namespace performa::obs {
 
@@ -259,15 +258,5 @@ std::string to_prometheus(const MetricsSnapshot& snap) {
 }
 
 std::string prometheus_metrics() { return to_prometheus(snapshot_metrics()); }
-
-void write_prometheus_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    throw std::runtime_error("obs: cannot open metrics file: " + path);
-  }
-  const std::string text = prometheus_metrics();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-}
 
 }  // namespace performa::obs

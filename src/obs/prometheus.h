@@ -54,8 +54,4 @@ std::string to_prometheus(const MetricsSnapshot& snap);
 /// snapshot_metrics() rendered by to_prometheus().
 std::string prometheus_metrics();
 
-/// Write prometheus_metrics() to `path` (perfctl --metrics-prom).
-/// Throws std::runtime_error when the file cannot be written.
-void write_prometheus_file(const std::string& path);
-
 }  // namespace performa::obs

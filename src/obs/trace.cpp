@@ -12,6 +12,7 @@
 
 #include "obs/flight.h"
 #include "obs/log.h"
+#include "obs/sink_hooks.h"
 
 namespace performa::obs {
 
@@ -127,15 +128,12 @@ class FileSink final : public TraceSink {
 class MemorySink final : public TraceSink {
  public:
   void write(const TraceEvent& event) override { events_.push_back(event); }
-  void write_raw(const std::string& json_line) override {
-    raw_lines_.push_back(json_line);
-  }
+  // Fork fragments merge only into a file sink (see fork.h).
+  void write_raw(const std::string&) override {}
   std::vector<TraceEvent> drain_events() { return std::move(events_); }
-  std::vector<std::string> drain_raw() { return std::move(raw_lines_); }
 
  private:
   std::vector<TraceEvent> events_;
-  std::vector<std::string> raw_lines_;
 };
 
 // Sink registry. The mutex guards the sink pointer and every write
@@ -187,16 +185,6 @@ void install_sink(std::unique_ptr<TraceSink> sink, MemorySink* memory,
   detail::g_trace_on.store(reg.sink != nullptr, std::memory_order_relaxed);
 }
 
-// A structurally complete record line: one `{...}` object, optionally
-// comma-terminated. Anything else (the `[` header, a torn tail from a
-// SIGKILLed writer) is not mergeable.
-bool is_complete_record(const std::string& line) {
-  if (line.empty() || line.front() != '{') return false;
-  std::size_t end = line.size();
-  if (line.back() == ',') --end;
-  return end >= 2 && line[end - 1] == '}';
-}
-
 }  // namespace
 
 void enable_trace_file(const std::string& path) {
@@ -232,58 +220,31 @@ std::vector<TraceEvent> drain_memory_trace() {
   return reg.memory->drain_events();
 }
 
-std::vector<std::string> drain_memory_raw_lines() {
-  flush_trace();
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  if (reg.memory == nullptr) return {};
-  return reg.memory->drain_raw();
-}
+namespace detail {
 
-void reopen_trace_in_child(const std::string& fragment_path) {
+void enter_trace_fragment(const std::string& path) noexcept {
   // Inherited buffered spans belong to the parent: drop them without
   // flushing. The parent's FileSink fflushes after every batch, so no
-  // serialized bytes are duplicated either; destroying the inherited
-  // sink below closes the child's copy of the fd with an empty stdio
-  // buffer.
+  // serialized bytes are duplicated either; replacing the inherited sink
+  // closes the child's copy of the fd with an empty stdio buffer.
   thread_buffer().events.clear();
-  install_sink(std::make_unique<FileSink>(fragment_path), nullptr,
-               fragment_path);
-}
-
-std::vector<std::string> take_fragment_lines(const std::string& fragment_path) {
-  std::vector<std::string> lines;
-  std::FILE* in = std::fopen(fragment_path.c_str(), "r");
-  if (in == nullptr) return lines;  // worker died before its first flush
-  std::string content;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) content.append(buf, n);
-  std::fclose(in);
-  ::unlink(fragment_path.c_str());
-  for (std::size_t start = 0, nl;
-       (nl = content.find('\n', start)) != std::string::npos; start = nl + 1) {
-    lines.push_back(content.substr(start, nl - start));
+  try {
+    install_sink(std::make_unique<FileSink>(path), nullptr, path);
+  } catch (...) {
+    install_sink(nullptr, nullptr, "");  // cannot open it: run untraced
   }
-  return lines;
 }
 
-std::size_t merge_trace_fragment(const std::string& fragment_path) {
-  std::vector<std::string> lines = take_fragment_lines(fragment_path);
-  std::size_t merged = 0;
+std::size_t append_trace_records(const std::vector<std::string>& records) {
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
-  for (std::string& line : lines) {
-    if (!is_complete_record(line)) continue;  // the `[` header
-    if (line.back() != ',') line += ',';
-    if (reg.sink != nullptr) {
-      reg.sink->write_raw(line);
-      ++merged;
-    }
-  }
-  if (reg.sink != nullptr && merged > 0) reg.sink->flush();
-  return merged;
+  if (reg.sink == nullptr || records.empty()) return 0;
+  for (const std::string& record : records) reg.sink->write_raw(record);
+  reg.sink->flush();
+  return records.size();
 }
+
+}  // namespace detail
 
 bool init_trace_from_env() {
   if (trace_enabled()) return true;

@@ -13,12 +13,10 @@
 // happens at flush granularity, off the instrumented path.
 //
 // Fork boundary: a forked worker must not share its parent's sink (two
-// writers would interleave mid-line). The worker calls
-// reopen_trace_in_child() with a private fragment path right after
-// fork; the supervisor merges the fragment back with
-// merge_trace_fragment() once the worker is reaped. Fragment records
-// carry the worker's pid, so a merged sweep trace shows one timeline
-// per process.
+// writers would interleave mid-line). obs::ForkHandoff (fork.h) gives
+// the worker a private fragment file and merges it back on reap.
+// Fragment records carry the worker's pid, so a merged sweep trace
+// shows one timeline per process.
 #pragma once
 
 #include <atomic>
@@ -58,7 +56,7 @@ class TraceSink {
   virtual ~TraceSink() = default;
   /// Append one span record.
   virtual void write(const TraceEvent& event) = 0;
-  /// Append one pre-serialized record line (fragment merging).
+  /// Append one pre-serialized record line (fork fragments).
   virtual void write_raw(const std::string& json_line) = 0;
   virtual void flush() {}
 };
@@ -80,34 +78,12 @@ void disable_trace();
 void flush_trace();
 
 /// Path of the file sink currently installed; empty for memory sink or
-/// disabled tracing. Workers derive fragment paths from this.
+/// disabled tracing. ForkHandoff derives fragment paths from this.
 const std::string& trace_file_path();
 
 /// Flush, then move the memory sink's accumulated events out (tests).
 /// Returns an empty vector when the sink is not the memory sink.
 std::vector<TraceEvent> drain_memory_trace();
-
-/// Raw record lines appended to the memory sink via write_raw (tests).
-std::vector<std::string> drain_memory_raw_lines();
-
-/// Call in a freshly forked child: discards span state inherited from
-/// the parent (without flushing it -- those records belong to the
-/// parent) and installs a private file sink at `fragment_path`.
-void reopen_trace_in_child(const std::string& fragment_path);
-
-/// Merge a worker's fragment file into the current sink and unlink it:
-/// every structurally complete record line is appended verbatim (pids
-/// recorded by the worker are preserved); a torn final line -- the
-/// worker was SIGKILLed mid-write -- is dropped. Returns the number of
-/// records merged. Safe to call when the fragment does not exist (a
-/// worker killed before its first flush): merges nothing.
-std::size_t merge_trace_fragment(const std::string& fragment_path);
-
-/// Read a worker's fragment file, unlink it, and return its
-/// newline-terminated lines without the newlines; a torn final line is
-/// dropped. Empty when the fragment does not exist. The one reader behind
-/// merge_trace_fragment and merge_log_fragment.
-std::vector<std::string> take_fragment_lines(const std::string& fragment_path);
 
 /// Install a file sink from $PERFORMA_TRACE when set and tracing is not
 /// already configured. Returns true when tracing is (now) enabled.

@@ -6,7 +6,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -15,8 +14,6 @@
 #include <string>
 
 #include "linalg/errors.h"
-#include "obs/flight.h"
-#include "obs/log.h"
 #include "obs/trace.h"
 #include "runner/sweep.h"
 
@@ -170,24 +167,7 @@ WorkerHandle spawn_worker(const PointFn& fn) {
   WorkerHandle handle;
   handle.started = std::chrono::steady_clock::now();
 
-  // Compose the fragment path in the parent, before fork, so both sides
-  // agree on it without communicating: the child writes its spans there,
-  // the supervisor merges the file back on reap. File-sink tracing only;
-  // a memory sink has no path a child could hand back.
-  static std::atomic<std::uint64_t> seq{0};
-  if (obs::trace_enabled() && !obs::trace_file_path().empty()) {
-    handle.trace_fragment = obs::trace_file_path() + ".frag." +
-                            std::to_string(seq.fetch_add(1));
-  }
-  // Same protocol for the structured log: a file-sink parent hands the
-  // child a private fragment so their write(2) offsets never fight.
-  // (A stderr-sink parent needs nothing: O_APPEND-less tty writes from
-  // two pids interleave only at line granularity, which single-write
-  // lines already guarantee.)
-  if (!obs::log_file_path().empty()) {
-    handle.log_fragment = obs::log_file_path() + ".frag." +
-                          std::to_string(seq.fetch_add(1));
-  }
+  handle.telemetry = obs::ForkHandoff::prepare();
 
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -203,19 +183,7 @@ WorkerHandle spawn_worker(const PointFn& fn) {
     // is harmless -- EOF is governed by write ends, and the parent
     // closes its copy of every write end right after forking.)
     ::close(fds[0]);
-    if (!handle.trace_fragment.empty()) {
-      try {
-        obs::reopen_trace_in_child(handle.trace_fragment);
-      } catch (...) {
-        obs::disable_trace();  // cannot open the fragment: run untraced
-      }
-    }
-    if (!handle.log_fragment.empty()) {
-      obs::reopen_log_in_child(handle.log_fragment);
-    }
-    // A crashed worker leaves its own flight file (under the child's
-    // pid); a clean one removes it below.
-    obs::reopen_flight_in_child();
+    handle.telemetry.enter_child();
     int code = kExitError;
     try {
       PointResult result;
@@ -230,11 +198,7 @@ WorkerHandle spawn_worker(const PointFn& fn) {
       write_all(fds[1], "error " + e.message + "\n");
       code = e.exit_code;
     }
-    // _exit skips destructors, so the fragment must be flushed by hand
-    // (disable_trace also fcloses the fragment file).
-    obs::flush_trace();
-    obs::disable_trace();
-    obs::disable_flight(/*keep_file=*/false);  // clean exit: no evidence
+    obs::ForkHandoff::leave_child();
     ::close(fds[1]);
     ::_exit(code);
   }
@@ -280,17 +244,7 @@ WorkerReport reap_worker(WorkerHandle& worker, bool timed_out,
   const int status = wait_for(worker.pid);
   worker.pid = -1;
 
-  // The worker is gone; fold its trace fragment (if any) into the
-  // supervisor's trace. A worker killed before its first flush simply
-  // left nothing to merge.
-  if (!worker.trace_fragment.empty()) {
-    obs::merge_trace_fragment(worker.trace_fragment);
-    worker.trace_fragment.clear();
-  }
-  if (!worker.log_fragment.empty()) {
-    obs::merge_log_fragment(worker.log_fragment);
-    worker.log_fragment.clear();
-  }
+  worker.telemetry.absorb();
 
   WorkerReport report =
       classify_worker(worker.payload, status, timed_out, timeout_seconds);

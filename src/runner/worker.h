@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/fork.h"
 #include "runner/outcome.h"
 
 namespace performa::runner {
@@ -58,8 +59,7 @@ struct WorkerHandle {
   std::string payload;     ///< bytes drained from the pipe so far
   bool eof = false;        ///< worker closed its end (exit or kill)
   std::chrono::steady_clock::time_point started{};
-  std::string trace_fragment;  ///< worker-private trace file, merged on reap
-  std::string log_fragment;    ///< worker-private log file, merged on reap
+  obs::ForkHandoff telemetry;  ///< worker's telemetry, absorbed on reap
 
   bool running() const noexcept { return pid > 0; }
 };

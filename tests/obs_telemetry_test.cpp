@@ -1,9 +1,10 @@
 // Production-telemetry subsystem: histogram overflow accounting,
 // Prometheus text exposition (sanitization, labels, kind conflicts,
 // cumulative histogram invariants), structured NDJSON logging (shape,
-// level gate, per-site rate limiting, fragment merge, query-id scopes)
-// and the crash flight recorder (ring parse, fork + fatal-signal
-// marker, clean-exit unlink).
+// level gate, per-site rate limiting, fork fragment merge, query-id
+// scopes) and the crash flight recorder (ring parse, fork +
+// fatal-signal marker, clean-exit unlink).
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -18,9 +19,11 @@
 #include <vector>
 
 #include "obs/flight.h"
+#include "obs/fork.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
+#include "test_util.h"
 
 namespace performa::obs {
 namespace {
@@ -90,7 +93,9 @@ TEST_F(TelemetryTest, HistogramOverflowBinTracksSamplesAboveTopBucket) {
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->overflow, 2u);
   EXPECT_EQ(e->overflow_max, 2.0 * big);
-  EXPECT_NE(snap.to_json().find("\"overflow\":2"), std::string::npos);
+  // The exposition folds the overflow bin into +Inf.
+  EXPECT_NE(to_prometheus(snap).find("tel_h_overflow_bucket{le=\"+Inf\"} 3\n"),
+            std::string::npos);
 
   h.reset();
   EXPECT_EQ(h.overflow(), 0u);
@@ -281,25 +286,40 @@ TEST_F(TelemetryTest, HotLogSiteIsRateLimitedThroughTheMacro) {
 
 TEST_F(TelemetryTest, MergeLogFragmentKeepsCompleteLinesDropsTornTail) {
   const std::string sink = temp_path("tel_log_sink");
-  const std::string frag = temp_path("tel_log_frag");
-  {
-    std::ofstream out(frag, std::ios::binary);
-    out << "{\"event\":\"a\"}\n{\"event\":\"b\"}\n{\"event\":\"torn";
-  }
   set_log_file(sink);
-  const std::size_t merged = merge_log_fragment(frag);
+  ForkHandoff handoff = ForkHandoff::prepare();
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    // The child logs into its fragment, then is "killed" mid-line.
+    handoff.enter_child();
+    PERFORMA_LOG(kInfo, "tel.worker.a");
+    PERFORMA_LOG(kInfo, "tel.worker.b");
+    const int fd = ::open(log_file_path().c_str(), O_WRONLY | O_APPEND);
+    (void)!::write(fd, "{\"event\":\"torn", 14);
+    ::_exit(0);
+  }
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EQ(handoff.absorb(), 2u);
+  // A worker that never wrote its fragment merges nothing.
+  EXPECT_EQ(ForkHandoff::prepare().absorb(), 0u);
   reset_log_for_test();
 
-  EXPECT_EQ(merged, 2u);
   const std::string content = read_file(sink);
   ::unlink(sink.c_str());
-  EXPECT_NE(content.find("{\"event\":\"a\"}"), std::string::npos);
-  EXPECT_NE(content.find("{\"event\":\"b\"}"), std::string::npos);
+  const std::string worker_pid = "\"pid\":" + std::to_string(pid) + ",";
+  for (const char* event : {"tel.worker.a", "tel.worker.b"}) {
+    const std::size_t at =
+        content.find("\"event\":\"" + std::string(event) + "\"");
+    ASSERT_NE(at, std::string::npos) << event << "\n" << content;
+    const std::size_t eol = content.find('\n', at);
+    EXPECT_NE(content.substr(at, eol - at).find(worker_pid), std::string::npos)
+        << content;  // the worker's pid is kept
+  }
   EXPECT_EQ(content.find("torn"), std::string::npos);
   // The fragment is consumed.
-  EXPECT_NE(::access(frag.c_str(), F_OK), 0);
-  // Merging a nonexistent fragment is a quiet no-op.
-  EXPECT_EQ(merge_log_fragment(frag), 0u);
+  EXPECT_TRUE(testing::SiblingFiles(sink, ".frag.").empty());
 }
 
 TEST_F(TelemetryTest, QueryIdScopesNestAndStampLogLines) {

@@ -1,8 +1,11 @@
 // The obs tracing/metrics subsystem: span nesting and balance (also
-// under exceptions), trace_event JSONL structure, fragment merging with
-// torn tails, race-free counters, snapshot JSON, and the disabled-mode
-// no-output guarantee.
+// under exceptions), trace_event JSONL structure, the fork handoff of
+// trace fragments (torn tails, inherited spans), race-free counters,
+// the Prometheus metrics file, and the disabled-mode no-output
+// guarantee.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -14,8 +17,11 @@
 #include <thread>
 #include <vector>
 
+#include "obs/fork.h"
 #include "obs/metrics.h"
+#include "obs/prometheus.h"
 #include "obs/trace.h"
+#include "test_util.h"
 
 namespace performa::obs {
 namespace {
@@ -49,6 +55,32 @@ std::string temp_path(const char* stem) {
   path += '.';
   path += std::to_string(::getpid());
   return path;
+}
+
+// Fork a child that enters `handoff`, runs `body`, and _exits 0 without
+// leaving (like a SIGKILL: nothing is flushed on the way out). Returns
+// the child's pid once it has been reaped.
+template <typename Body>
+pid_t run_forked_child(const ForkHandoff& handoff, Body body) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    handoff.enter_child();
+    body();
+    ::_exit(0);
+  }
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  return pid;
+}
+
+// Append raw bytes to `path` (a child writing past its sink).
+void append_bytes(const std::string& path, const std::string& bytes) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+  if (fd >= 0) {
+    (void)!::write(fd, bytes.data(), bytes.size());
+    ::close(fd);
+  }
 }
 
 TEST_F(ObsTest, SpanInertWhenDisabled) {
@@ -157,23 +189,32 @@ TEST_F(ObsTest, FileSinkWritesParsableTraceEventLines) {
 #endif  // !PERFORMA_OBS_DISABLED
 
 TEST_F(ObsTest, MergeFragmentKeepsCompleteRecordsDropsTornTail) {
-  const std::string frag = temp_path("obs_frag");
-  {
-    std::ofstream out(frag, std::ios::binary);
-    out << "[\n";
-    out << "{\"name\":\"worker.span\",\"ph\":\"X\",\"pid\":4242},\n";
-    out << "{\"name\":\"torn.span\",\"ph\":\"X\",\"pi";  // SIGKILL mid-write
-  }
-  enable_trace_memory();
-  EXPECT_EQ(merge_trace_fragment(frag), 1u);
-  const auto lines = drain_memory_raw_lines();
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("worker.span"), std::string::npos);
-  EXPECT_NE(lines[0].find("4242"), std::string::npos);  // pid preserved
+  const std::string trace = temp_path("obs_frag");
+  enable_trace_file(trace);
+  ForkHandoff handoff = ForkHandoff::prepare();
+  run_forked_child(handoff, [] {
+    // The child's sink is its fragment: one complete record, then a
+    // record torn mid-write.
+    append_bytes(trace_file_path(),
+                 "{\"name\":\"worker.span\",\"ph\":\"X\",\"pid\":4242},\n"
+                 "{\"name\":\"torn.span\",\"ph\":\"X\",\"pi");
+  });
+  EXPECT_EQ(handoff.absorb(), 1u);
+  disable_trace();
+  const std::string text = read_file(trace);
+  EXPECT_NE(text.find("worker.span"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"pid\":4242"), std::string::npos);  // pid preserved
+  EXPECT_EQ(text.find("torn.span"), std::string::npos) << text;
   // The fragment was consumed.
-  EXPECT_TRUE(read_file(frag).empty());
-  // Merging a nonexistent fragment (worker died pre-flush) is a no-op.
-  EXPECT_EQ(merge_trace_fragment(frag), 0u);
+  EXPECT_TRUE(testing::SiblingFiles(trace, ".frag.").empty());
+
+  // A worker that never wrote its fragment (killed before its first
+  // flush) merges nothing.
+  enable_trace_file(trace);
+  ForkHandoff unwritten = ForkHandoff::prepare();
+  EXPECT_EQ(unwritten.absorb(), 0u);
+  disable_trace();
+  std::remove(trace.c_str());
 }
 
 #if !defined(PERFORMA_OBS_DISABLED)
@@ -237,12 +278,14 @@ TEST_F(ObsTest, SnapshotFindsAndSerializes) {
   EXPECT_DOUBLE_EQ(c->value, 3.0);
   EXPECT_EQ(snap.find("test.snap.missing"), nullptr);
 
-  const std::string json = snap.to_json();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"test.snap.counter\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"gauge\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"histogram\""), std::string::npos);
+  const std::string text = to_prometheus(snap);
+  EXPECT_NE(
+      text.find("# TYPE test_snap_counter counter\ntest_snap_counter 3\n"),
+      std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# TYPE test_snap_gauge gauge\n"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE test_snap_hist histogram\n"),
+            std::string::npos);
 }
 
 TEST_F(ObsTest, MetricsFileRoundTrip) {
@@ -251,30 +294,51 @@ TEST_F(ObsTest, MetricsFileRoundTrip) {
   write_metrics_file(path);
   const std::string text = read_file(path);
   std::remove(path.c_str());
-  EXPECT_NE(text.find("\"test.file.counter\""), std::string::npos);
-  EXPECT_NE(text.find("11"), std::string::npos);
+  EXPECT_EQ(text, prometheus_metrics());
+  EXPECT_NE(text.find("\ntest_file_counter 11\n"), std::string::npos) << text;
+}
+
+TEST_F(ObsTest, MetricsFileWriteErrorThrows) {
+  counter("test.file.full").add(1);
+  // /dev/full opens fine and fails the write: only checking fopen would
+  // report a metrics file that was never written.
+  EXPECT_THROW(write_metrics_file("/dev/full"), std::runtime_error);
+  EXPECT_THROW(write_metrics_file("/nonexistent-dir/m.prom"),
+               std::runtime_error);
 }
 
 TEST_F(ObsTest, ReopenInChildDiscardsInheritedSpans) {
-  // Simulate the fork protocol in-process: record a span into the
-  // thread-local buffer, then "reopen" -- the buffered parent span must
-  // NOT land in the child's fragment.
-  enable_trace_memory();
+  // Across a real fork: a span still sitting in the parent's
+  // thread-local buffer is inherited by the child, and must not land in
+  // the child's fragment (the parent flushes it itself).
+  const std::string trace = temp_path("obs_child_frag");
+  enable_trace_file(trace);
   {
     PERFORMA_SPAN("parent.buffered");
   }
-  // Not flushed: still sitting in the thread-local buffer.
-  const std::string frag = temp_path("obs_child_frag");
-  reopen_trace_in_child(frag);
-  {
-    PERFORMA_SPAN("child.own");
-  }
-  flush_trace();
+  ForkHandoff handoff = ForkHandoff::prepare();
+  const pid_t child = run_forked_child(handoff, [] {
+    {
+      PERFORMA_SPAN("child.own");
+    }
+    ForkHandoff::leave_child();
+  });
+  EXPECT_EQ(handoff.absorb(), 1u);
   disable_trace();
-  const std::string text = read_file(frag);
-  std::remove(frag.c_str());
-  EXPECT_EQ(text.find("parent.buffered"), std::string::npos) << text;
-  EXPECT_NE(text.find("child.own"), std::string::npos) << text;
+  const std::string text = read_file(trace);
+  std::remove(trace.c_str());
+  const auto count = [&text](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("parent.buffered"), 1u) << text;
+  EXPECT_EQ(count("child.own"), 1u) << text;
+  EXPECT_NE(text.find("\"pid\":" + std::to_string(child)), std::string::npos)
+      << text;
 }
 #endif  // !PERFORMA_OBS_DISABLED
 

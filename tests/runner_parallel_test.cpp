@@ -3,7 +3,8 @@
 // machine under fault injection, v2 order-independent checkpoint resume
 // (shuffled records ok, duplicated ok-records rejected, v1 still
 // readable), SIGINT wind-down that drains in-flight workers, and the
-// parallel flavour of the SIGKILL-mid-sweep acceptance drill.
+// parallel flavour of the SIGKILL-mid-sweep acceptance drill, and the
+// telemetry handoff (trace, log, flight) across real worker forks.
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -24,6 +25,8 @@
 #include "map/lumped_aggregate.h"
 #include "medist/me_dist.h"
 #include "medist/tpt.h"
+#include "obs/flight.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "qbd/qbd.h"
 #include "qbd/solution.h"
@@ -34,6 +37,7 @@
 #include "runner/sweep.h"
 #include "runner/worker.h"
 #include "sim/random.h"
+#include "test_util.h"
 
 namespace performa::runner {
 namespace {
@@ -468,30 +472,56 @@ TEST(ParallelSweep, SigkillMidParallelSweepResumesBitExact) {
   std::remove(marker.c_str());
 }
 
-// --- tracing across the fork boundary ---------------------------------
+// --- telemetry across the fork boundary -------------------------------
+
+// The `"pid":N` value of one trace record or log line.
+std::string PidOf(const std::string& line) {
+  const std::size_t at = line.find("\"pid\":");
+  if (at == std::string::npos) return "";
+  return line.substr(at + 6, line.find(',', at) - at - 6);
+}
 
 TEST(ParallelSweep, TraceMergesWorkerFragmentsWithDistinctPids) {
+  // Every sink a worker can write to at once: a trace file, a log file,
+  // and a flight recorder.
   const std::string trace = TempPath("trace.jsonl");
+  const std::string log = TempPath("log.ndjson");
+  const std::string flight = TempPath("flight");
   std::remove(trace.c_str());
+  std::remove(log.c_str());
   obs::enable_trace_file(trace);
+  obs::set_log_file(log);
+  ASSERT_TRUE(obs::init_flight(flight));
+  const std::string parent_flight = obs::flight_path();
+  std::vector<SweepPointSpec> specs = DeterministicSpecs(8);
+  for (SweepPointSpec& spec : specs) {
+    spec.fn = [fn = spec.fn, id = spec.id]() {
+      PERFORMA_LOG(kInfo, "test.worker.point").kv("point", id);
+      return fn();
+    };
+  }
   SweepOptions opts;
   opts.jobs = 4;
-  const auto sweep = run_sweep("trace-j4", DeterministicSpecs(8), opts);
+  const auto sweep = run_sweep("trace-j4", specs, opts);
   obs::flush_trace();
   obs::disable_trace();
+  obs::reset_log_for_test();
   ASSERT_EQ(sweep.points.size(), 8u);
 
-  // One merged file; every fragment was consumed on reap.
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_FALSE(FileExists(trace + ".frag." + std::to_string(i))) << i;
-  }
+  // One merged file per sink; every fragment was consumed on reap.
+  EXPECT_TRUE(testing::SiblingFiles(trace, ".frag.").empty());
+  EXPECT_TRUE(testing::SiblingFiles(log, ".frag.").empty());
+  // Clean worker exits remove their flight files; the parent's stays.
+  EXPECT_TRUE(FileExists(parent_flight));
+  EXPECT_EQ(testing::SiblingFiles(flight, ".flight.").size(), 1u);
+  obs::disable_flight(/*keep_file=*/false);
 
   std::ifstream in(trace);
   ASSERT_TRUE(in.is_open());
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line, "[");
-  const int self = static_cast<int>(::getpid());
+  const std::string self = std::to_string(::getpid());
   std::set<std::string> pids;
   std::size_t records = 0;
   std::size_t worker_spans = 0;
@@ -503,19 +533,17 @@ TEST(ParallelSweep, TraceMergesWorkerFragmentsWithDistinctPids) {
     ASSERT_EQ(line.front(), '{') << line;
     ASSERT_EQ(line.substr(line.size() - 2), "},") << line;
     EXPECT_NE(line.find("\"ph\":\"X\""), std::string::npos) << line;
-    const std::size_t pid_at = line.find("\"pid\":");
-    ASSERT_NE(pid_at, std::string::npos) << line;
-    const std::size_t pid_end = line.find(',', pid_at);
-    const std::string pid = line.substr(pid_at + 6, pid_end - pid_at - 6);
+    const std::string pid = PidOf(line);
+    ASSERT_FALSE(pid.empty()) << line;
     pids.insert(pid);
     if (line.find("\"runner.worker.point\"") != std::string::npos) {
       ++worker_spans;
       // Worker records carry the worker's pid, not the supervisor's.
-      EXPECT_NE(pid, std::to_string(self)) << line;
+      EXPECT_NE(pid, self) << line;
     }
     if (line.find("\"runner.point\"") != std::string::npos) {
       ++parent_spans;
-      EXPECT_EQ(pid, std::to_string(self)) << line;
+      EXPECT_EQ(pid, self) << line;
       EXPECT_NE(line.find("\"outcome\":\"ok\""), std::string::npos) << line;
     }
   }
@@ -525,7 +553,21 @@ TEST(ParallelSweep, TraceMergesWorkerFragmentsWithDistinctPids) {
   // A -j4 pool forks one process per point: the merged timeline must
   // show the supervisor plus several distinct worker pids.
   EXPECT_GE(pids.size(), 3u) << "want distinct worker pids in the merge";
+
+  // Each worker's log line lands in the parent's log under its own pid.
+  std::ifstream log_in(log);
+  std::set<std::string> logged_points;
+  while (std::getline(log_in, line)) {
+    if (line.find("\"event\":\"test.worker.point\"") == std::string::npos) {
+      continue;
+    }
+    EXPECT_NE(PidOf(line), self) << line;
+    EXPECT_TRUE(pids.count(PidOf(line)) == 1) << line;
+    logged_points.insert(line.substr(line.find("\"point\":")));
+  }
+  EXPECT_EQ(logged_points.size(), 8u);
   std::remove(trace.c_str());
+  std::remove(log.c_str());
 }
 
 // --- kernel thread-count determinism ----------------------------------

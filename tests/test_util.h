@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "linalg/matrix.h"
 
@@ -55,6 +58,22 @@ inline linalg::Matrix RandomGenerator(std::size_t n, unsigned seed) {
     q(r, r) = -total;
   }
   return q;
+}
+
+/// Names of the files beside `path` that start with its file name
+/// followed by `infix` -- e.g. ".frag." finds fork fragments that were
+/// never absorbed, ".flight." the flight files under a prefix.
+inline std::vector<std::string> SiblingFiles(const std::string& path,
+                                             const std::string& infix) {
+  const std::filesystem::path p(path);
+  const std::string prefix = p.filename().string() + infix;
+  std::vector<std::string> found;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(p.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) found.push_back(name);
+  }
+  return found;
 }
 
 }  // namespace performa::testing
