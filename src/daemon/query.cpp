@@ -55,23 +55,6 @@ std::string error_response(const std::string& id, const std::string& op,
   return std::move(w).str();
 }
 
-/// Compact residual trail for the slow-query log: one token per
-/// fallback-chain attempt, `algorithm:iterations:defect` with the
-/// winner starred -- the per-tier evidence the paper's near-blow-up
-/// pathologies show up in first.
-std::string solver_trail(const qbd::SolveReport& report) {
-  std::string out;
-  char buf[96];
-  for (const qbd::SolveAttempt& a : report.attempts) {
-    const bool won = a.converged && a.algorithm == report.winner;
-    std::snprintf(buf, sizeof buf, "%s%s%s:%uit:%.3e", out.empty() ? "" : " ",
-                  won ? "*" : "", qbd::to_string(a.algorithm), a.iterations,
-                  a.defect);
-    out += buf;
-  }
-  return out;
-}
-
 bool require_number(const JsonObject& request, const std::string& key,
                     double& out, std::string& error) {
   const JsonValue* v = request.find(key);
@@ -413,8 +396,8 @@ std::string QueryEngine::handle(const JsonObject& request) {
 
   // Threshold-based slow-query log: a fresh solve that took at least
   // slow_query_seconds (or blew its deadline) leaves one structured
-  // record carrying the per-tier solver trail, trust verdict and cache
-  // disposition, joined to the wire reply by the qid.
+  // record carrying the solver summary, trust verdict, healing trail and
+  // cache disposition, joined to the wire reply by the qid.
   const auto maybe_log_slow = [&](const char* disposition) {
     const double threshold =
         slow_query_seconds_.load(std::memory_order_relaxed);
@@ -426,10 +409,12 @@ std::string QueryEngine::handle(const JsonObject& request) {
         : (cached && entry.solution) ? &entry.solution->report()
                                      : nullptr;
     std::string trust_text = "unknown";
+    std::string trail;  // empty unless the healing ladder ran
     if (cached && entry.solution) {
       const qbd::TrustReport& tr = entry.solution->trust();
       trust_text =
           tr.verified ? std::string(qbd::to_string(tr.verdict)) : "unverified";
+      trail = tr.healing;
     }
     PERFORMA_LOG(kWarn, "daemon.slow_query")
         .kv("op", op)
@@ -441,7 +426,7 @@ std::string QueryEngine::handle(const JsonObject& request) {
         .kv("disposition", disposition)
         .kv("trust", trust_text)
         .kv("solver", rep ? rep->summary() : std::string("no-report"))
-        .kv("trail", rep ? solver_trail(*rep) : std::string());
+        .kv("trail", trail);
   };
 
   if (!cached || refresh) {

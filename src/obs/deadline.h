@@ -2,7 +2,7 @@
 //
 // A Deadline is a shared token combining an optional wall-clock expiry
 // with an explicit cancellation flag. It is *cooperative*: nothing is
-// preempted; instead, iterative kernels (the QBD R-solver tiers, expm's
+// preempted; instead, iterative kernels (the QBD R solver, expm's
 // squaring phase, LU factorization of large systems, solution assembly)
 // poll `deadline_expired()` between iterations and abort with a typed
 // DeadlineError, so a slow solve returns control in bounded time instead

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "obs/flight.h"
-#include "obs/log.h"
 #include "obs/sink_hooks.h"
 #include "obs/trace.h"
 
@@ -28,16 +27,10 @@ bool is_trace_record(const std::string& line) {
   return end >= 2 && line[end - 1] == '}';
 }
 
-// A log record: one `{...}` NDJSON object.
-bool is_log_record(const std::string& line) {
-  return line.size() >= 2 && line.front() == '{' && line.back() == '}';
-}
-
-// Read a fragment, unlink it, and return the newline-terminated lines
-// (newline stripped) that `is_record` accepts. A torn final line has no
-// newline, so it is never returned. A missing fragment yields nothing.
-std::vector<std::string> take_records(const std::string& path,
-                                      bool (*is_record)(const std::string&)) {
+// Read a trace fragment, unlink it, and return its newline-terminated
+// records (newline stripped). A torn final line has no newline, so it is
+// never returned. A missing fragment yields nothing.
+std::vector<std::string> take_records(const std::string& path) {
   std::vector<std::string> records;
   std::FILE* in = std::fopen(path.c_str(), "r");
   if (in == nullptr) return records;
@@ -50,7 +43,7 @@ std::vector<std::string> take_records(const std::string& path,
   for (std::size_t start = 0, nl;
        (nl = content.find('\n', start)) != std::string::npos; start = nl + 1) {
     std::string line = content.substr(start, nl - start);
-    if (is_record(line)) records.push_back(std::move(line));
+    if (is_trace_record(line)) records.push_back(std::move(line));
   }
   return records;
 }
@@ -60,29 +53,15 @@ std::vector<std::string> take_records(const std::string& path,
 ForkHandoff ForkHandoff::prepare() {
   ForkHandoff handoff;
   // A memory trace sink has no path a child could hand back.
-  const bool trace_file = trace_enabled() && !trace_file_path().empty();
-  const std::string& log_path = log_file_path();
-  if (!trace_file && log_path.empty()) return handoff;
-  const std::string suffix =
-      ".frag." + std::to_string(g_fragment_seq.fetch_add(1));
-  if (trace_file) handoff.trace_fragment_ = trace_file_path() + suffix;
-  if (!log_path.empty()) handoff.log_fragment_ = log_path + suffix;
+  if (trace_enabled() && !trace_file_path().empty()) {
+    handoff.trace_fragment_ = trace_file_path() + ".frag." +
+                              std::to_string(g_fragment_seq.fetch_add(1));
+  }
   return handoff;
 }
 
 void ForkHandoff::enter_child() const noexcept {
   if (!trace_fragment_.empty()) detail::enter_trace_fragment(trace_fragment_);
-  if (!log_fragment_.empty()) {
-    // Closes the child's copy of the parent's fd. Lines are unbuffered,
-    // so no parent bytes are duplicated. A fragment left by an earlier
-    // run must not be appended to.
-    ::unlink(log_fragment_.c_str());
-    try {
-      set_log_file(log_fragment_);
-    } catch (...) {
-      set_log_file("");  // cannot open it: log to stderr
-    }
-  }
   if (flight_enabled()) {
     // The parent's file stays; the child records under its own pid.
     const std::string path = flight_path();
@@ -97,29 +76,13 @@ void ForkHandoff::leave_child() noexcept {
 }
 
 std::size_t ForkHandoff::absorb() {
-  std::size_t merged = 0;
-  if (!trace_fragment_.empty()) {
-    std::vector<std::string> records =
-        take_records(trace_fragment_, is_trace_record);
-    for (std::string& record : records) {
-      if (record.back() != ',') record += ',';
-    }
-    merged += detail::append_trace_records(records);
-    trace_fragment_.clear();
+  if (trace_fragment_.empty()) return 0;
+  std::vector<std::string> records = take_records(trace_fragment_);
+  for (std::string& record : records) {
+    if (record.back() != ',') record += ',';
   }
-  if (!log_fragment_.empty()) {
-    const std::vector<std::string> records =
-        take_records(log_fragment_, is_log_record);
-    std::string lines;
-    for (const std::string& record : records) {
-      lines += record;
-      lines += '\n';
-    }
-    detail::append_log_lines(lines);
-    merged += records.size();
-    log_fragment_.clear();
-  }
-  return merged;
+  trace_fragment_.clear();
+  return detail::append_trace_records(records);
 }
 
 }  // namespace performa::obs

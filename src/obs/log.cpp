@@ -13,7 +13,6 @@
 #include <stdexcept>
 
 #include "obs/flight.h"
-#include "obs/sink_hooks.h"
 #include "obs/trace.h"
 
 namespace performa::obs {
@@ -43,14 +42,14 @@ std::uint64_t thread_id() noexcept {
   return tid;
 }
 
-// Sink state: a file descriptor plus the path it was opened from.
-// fd == STDERR_FILENO means "no file sink". Guarded by a mutex -- the
-// hot path never reaches here (level gate + token bucket run first),
-// and one write(2) per line keeps concurrent lines unsplit anyway.
+// Sink state: a file descriptor; fd == STDERR_FILENO means "no file
+// sink". A forked worker keeps writing to the inherited O_APPEND fd.
+// Guarded by a mutex -- the hot path never reaches here (level gate +
+// token bucket run first), and one write(2) per line keeps concurrent
+// lines unsplit anyway.
 struct LogRegistry {
   std::mutex mutex;
   int fd = STDERR_FILENO;
-  std::string path;
 };
 
 LogRegistry& log_registry() {
@@ -70,12 +69,11 @@ void write_all_fd(int fd, const char* data, std::size_t len) noexcept {
   }
 }
 
-void install_log_fd(int fd, std::string path) {
+void install_log_fd(int fd) {
   LogRegistry& reg = log_registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
   if (reg.fd != STDERR_FILENO) ::close(reg.fd);
   reg.fd = fd;
-  reg.path = std::move(path);
 }
 
 // Query-id state: the std::string is what the process reads; the fixed
@@ -116,20 +114,14 @@ void set_log_level(LogLevel level) {
 
 void set_log_file(const std::string& path) {
   if (path.empty()) {
-    install_log_fd(STDERR_FILENO, "");
+    install_log_fd(STDERR_FILENO);
     return;
   }
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0) {
     throw std::runtime_error("obs: cannot open log file: " + path);
   }
-  install_log_fd(fd, path);
-}
-
-const std::string& log_file_path() {
-  LogRegistry& reg = log_registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  return reg.path;
+  install_log_fd(fd);
 }
 
 bool init_log_from_env() {
@@ -161,20 +153,10 @@ bool init_log_from_env() {
 }
 
 void reset_log_for_test() {
-  install_log_fd(STDERR_FILENO, "");
+  install_log_fd(STDERR_FILENO);
   detail::g_log_level.store(static_cast<int>(LogLevel::kInfo),
                             std::memory_order_relaxed);
 }
-
-namespace detail {
-
-void append_log_lines(const std::string& lines) {
-  LogRegistry& reg = log_registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  write_all_fd(reg.fd, lines.data(), lines.size());
-}
-
-}  // namespace detail
 
 bool LogSite::admit() noexcept {
   const std::int64_t now = monotonic_ns();

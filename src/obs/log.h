@@ -21,10 +21,10 @@
 // from that site carries `"suppressed":N` so nothing vanishes
 // silently.
 //
-// Fork boundary: like the trace sink, a forked worker must not share
-// the parent's log fd offset bookkeeping. obs::ForkHandoff (fork.h)
-// points the child at a private fragment file and appends its complete
-// lines back to the parent sink on reap, dropping a torn tail.
+// Fork boundary: a forked worker keeps writing to the inherited fd.
+// The file is opened O_APPEND and each line is one write(2), so worker
+// and parent lines land whole, each under its writer's pid; unlike the
+// buffered trace sink, the log needs no fragment (fork.h).
 //
 // Every line automatically carries ts (unix seconds), level, event,
 // pid, tid, and -- when a QueryIdScope is active on the thread -- the
@@ -65,10 +65,6 @@ void set_log_level(LogLevel level);
 /// Throws std::runtime_error when the file cannot be opened. An empty
 /// path routes back to stderr (the default sink).
 void set_log_file(const std::string& path);
-
-/// Path of the installed file sink; empty when logging to stderr.
-/// ForkHandoff derives fragment paths from this.
-const std::string& log_file_path();
 
 /// Honor $PERFORMA_LOG (sink path) and $PERFORMA_LOG_LEVEL
 /// (debug|info|warn|error). Returns true when a file sink is (now)

@@ -15,9 +15,9 @@
 // compiles every update path to a true no-op.
 //
 // Metrics are per-process: a forked worker inherits a snapshot of the
-// registry and its increments die with it (its spans and log lines are
-// merged back through obs::ForkHandoff instead). The supervisor's
-// registry describes the supervisor.
+// registry and its increments die with it (its spans are merged back
+// through obs::ForkHandoff, its log lines go to the inherited log fd).
+// The supervisor's registry describes the supervisor.
 #pragma once
 
 #include <atomic>

@@ -7,7 +7,7 @@
 // k -> k-1 transition); from level C on the process is homogeneous and the
 // usual matrix-geometric tail pi_{C+j} = pi_C R^j applies. QbdSolution
 // solves these blocks through the same certified pipeline as the
-// homogeneous queue (six trust checks, the three-rung healing ladder,
+// homogeneous queue (six trust checks, the two-rung healing ladder,
 // spans and deadline polls); this header only builds them.
 #pragma once
 

@@ -19,98 +19,17 @@ namespace performa::qbd {
 
 namespace {
 
-double residual_norm(const QbdBlocks& b, const Matrix& r) {
-  return r_residual_norm(b, r);
-}
-
-// One fallback-chain attempt: the candidate R (meaningful only when the
-// attempt converged), its bookkeeping record, and the condition estimate
-// of the attempt's final linear solve.
+// The one R attempt: the candidate R (meaningful only when the attempt
+// converged), its bookkeeping record, and the condition estimate of the
+// attempt's final linear solve.
 struct Candidate {
   Matrix r;
   SolveAttempt attempt;
   double condition = 0.0;
   // The attempt was cut off by the thread's cooperative deadline, not by
-  // a numerical failure: solve_r must stop the chain (a fallback tier
-  // would blow the same budget) and surface DeadlineExceeded.
+  // a numerical failure: solve_r surfaces DeadlineExceeded.
   bool deadline_expired = false;
 };
-
-// Both linearly convergent tiers (successive substitution and the
-// one-sided Newton scheme) contract the update by ~sp(R) per step, and
-// near a blow-up point sp(R) -> 1. Every kRateWindow iterations the
-// observed contraction rate is extrapolated; when even the remaining
-// budget cannot reach the tolerance, the attempt bails out right away --
-// the honest "this tier cannot make it" costs dozens of iterations
-// instead of tens of thousands, and the fallback chain moves on.
-constexpr unsigned kRateWindow = 64;
-
-// Returns a failure note when the extrapolation says "hopeless", nullptr
-// to keep iterating. `buf` backs the formatted note.
-const char* projected_miss(double diff, double window_diff, double tol,
-                           unsigned it, unsigned budget, char* buf,
-                           std::size_t buf_size) {
-  if (diff >= window_diff) return "update stagnated";
-  const double rate = std::pow(diff / window_diff, 1.0 / kRateWindow);
-  const double needed = std::log(tol / diff) / std::log(rate);
-  if (needed > static_cast<double>(budget - it)) {
-    std::snprintf(buf, buf_size,
-                  "contraction rate ~%.6f projects %.3g more iterations, "
-                  "beyond the %u budget",
-                  rate, needed, budget);
-    return buf;
-  }
-  return nullptr;
-}
-
-Candidate attempt_successive(const QbdBlocks& b, double tol, unsigned budget) {
-  Candidate c;
-  c.attempt.algorithm = SolveAlgorithm::kSuccessiveSubstitution;
-
-  const std::size_t m = b.phase_dim();
-  const linalg::Lu neg_a1(-1.0 * b.a1);
-  c.condition = neg_a1.condition_estimate();
-
-  Matrix r = Matrix::zeros(m, m);
-  double window_diff = std::numeric_limits<double>::infinity();
-  char note[160];
-  for (unsigned it = 1; it <= budget; ++it) {
-    if (obs::deadline_expired()) {
-      c.attempt.defect = residual_norm(b, r);
-      c.attempt.note = "aborted: deadline expired";
-      c.deadline_expired = true;
-      return c;
-    }
-    // R_{k+1} (-A1) = A0 + R_k^2 A2
-    const Matrix next = neg_a1.solve_left(b.a0 + r * r * b.a2);
-    c.attempt.iterations = it;
-    if (!linalg::is_finite(next)) {
-      c.attempt.defect = residual_norm(b, r);
-      c.attempt.note = "iterate became non-finite";
-      return c;
-    }
-    const double diff = linalg::max_abs_diff(next, r);
-    r = next;
-    if (diff < tol) {
-      c.attempt.defect = residual_norm(b, r);
-      c.attempt.converged = true;
-      c.r = std::move(r);
-      return c;
-    }
-    if (it % kRateWindow == 0) {
-      if (const char* why = projected_miss(diff, window_diff, tol, it, budget,
-                                           note, sizeof note)) {
-        c.attempt.defect = residual_norm(b, r);
-        c.attempt.note = why;
-        return c;
-      }
-      window_diff = diff;
-    }
-  }
-  c.attempt.defect = residual_norm(b, r);
-  c.attempt.note = "iteration budget exhausted";
-  return c;
-}
 
 // Logarithmic reduction for G; never throws on non-convergence (the
 // caller decides whether that is fatal).
@@ -216,123 +135,57 @@ Candidate attempt_logred(const QbdBlocks& b, double tol, unsigned budget) {
     c.attempt.note = "R recovery from G produced a non-finite matrix";
     return c;
   }
-  c.attempt.defect = residual_norm(b, r);
+  c.attempt.defect = r_residual_norm(b, r);
   c.attempt.converged = true;
   c.r = std::move(r);
   return c;
 }
 
-Candidate attempt_newton_shifted(const QbdBlocks& b, double tol,
-                                 unsigned budget) {
+// attempt_logred, timed and traced. The duration is measured here (not
+// derived from the span) so SolveReport::summary() carries wall times
+// even when tracing is off; the span mirrors the same interval into the
+// trace.
+Candidate run_logred(const QbdBlocks& b, const SolverOptions& opts) {
+  obs::Span span("qbd.rsolver.logred");
+  const auto started = std::chrono::steady_clock::now();
   Candidate c;
-  c.attempt.algorithm = SolveAlgorithm::kNewtonShifted;
-
-  const std::size_t m = b.phase_dim();
-  Matrix r = Matrix::zeros(m, m);
-  double window_diff = std::numeric_limits<double>::infinity();
-  char note[160];
-  for (unsigned it = 1; it <= budget; ++it) {
-    if (obs::deadline_expired()) {
-      c.attempt.defect = residual_norm(b, r);
-      c.attempt.note = "aborted: deadline expired";
-      c.deadline_expired = true;
-      return c;
-    }
-    // One-sided Newton step: freeze the quadratic term's leading factor at
-    // the current iterate, giving R_{k+1} = A0 * (-(A1 + R_k A2))^{-1}.
-    // The local block is re-shifted by the current down-drift R_k A2 every
-    // step, so each iteration solves against a fresh, better-conditioned
-    // matrix than the bare -A1 of successive substitution; the iteration
-    // increases monotonically from 0 to the minimal solution.
-    const linalg::Lu shifted(-1.0 * (b.a1 + r * b.a2));
-    const Matrix next = shifted.solve_left(b.a0);
-    c.attempt.iterations = it;
-    if (!linalg::is_finite(next)) {
-      c.attempt.defect = residual_norm(b, r);
-      c.attempt.note = "iterate became non-finite";
-      return c;
-    }
-    const double diff = linalg::max_abs_diff(next, r);
-    r = next;
-    if (diff < tol) {
-      c.condition = shifted.condition_estimate();
-      c.attempt.defect = residual_norm(b, r);
-      c.attempt.converged = true;
-      c.r = std::move(r);
-      return c;
-    }
-    if (it % kRateWindow == 0) {
-      if (const char* why = projected_miss(diff, window_diff, tol, it, budget,
-                                           note, sizeof note)) {
-        c.attempt.defect = residual_norm(b, r);
-        c.attempt.note = why;
-        return c;
-      }
-      window_diff = diff;
-    }
+  try {
+    c = attempt_logred(b, opts.tolerance, opts.max_iterations);
+  } catch (const DeadlineError& e) {
+    // An inner kernel (LU) hit the deadline first; same abort path as
+    // the doubling loop noticing it itself.
+    c.attempt.note = e.what();
+    c.deadline_expired = true;
+  } catch (const NumericalError& e) {
+    c.attempt.note = e.what();
   }
-  c.attempt.defect = residual_norm(b, r);
-  c.attempt.note = "iteration budget exhausted";
+  c.attempt.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    started)
+          .count();
+  static obs::Counter& iterations = obs::counter("qbd.rsolver.iterations");
+  iterations.add(c.attempt.iterations);
+  span.annotate("iterations", static_cast<std::uint64_t>(c.attempt.iterations));
+  span.annotate("converged", c.attempt.converged ? 1.0 : 0.0);
   return c;
 }
 
-SolveAlgorithm tier_of(RAlgorithm a) noexcept {
-  switch (a) {
-    case RAlgorithm::kSuccessiveSubstitution:
-      return SolveAlgorithm::kSuccessiveSubstitution;
-    case RAlgorithm::kNewtonShifted:
-      return SolveAlgorithm::kNewtonShifted;
-    case RAlgorithm::kLogarithmicReduction:
-      break;
-  }
-  return SolveAlgorithm::kLogarithmicReduction;
-}
-
-const char* span_name_of(SolveAlgorithm tier) noexcept {
-  switch (tier) {
-    case SolveAlgorithm::kSuccessiveSubstitution:
-      return "qbd.rsolver.ss";
-    case SolveAlgorithm::kLogarithmicReduction:
-      return "qbd.rsolver.logred";
-    case SolveAlgorithm::kNewtonShifted:
-      return "qbd.rsolver.newton";
-  }
-  return "qbd.rsolver.?";
-}
-
-Candidate run_tier(SolveAlgorithm tier, const QbdBlocks& b,
-                   const SolverOptions& opts, bool is_fallback) {
-  obs::Span span(span_name_of(tier));
-  // The attempt duration is measured here (not derived from the span)
-  // so SolveReport::summary() carries wall times even when tracing is
-  // off; the span mirrors the same interval into the trace.
-  const auto started = std::chrono::steady_clock::now();
-  const auto stamp = [&](Candidate c) {
-    c.attempt.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      started)
-            .count();
-    static obs::Counter& iterations = obs::counter("qbd.rsolver.iterations");
-    iterations.add(c.attempt.iterations);
-    span.annotate("iterations",
-                  static_cast<std::uint64_t>(c.attempt.iterations));
-    span.annotate("converged", c.attempt.converged ? 1.0 : 0.0);
-    return c;
-  };
-  // Fallback attempts run on a bounded budget: they exist to rescue a
-  // stalled primary, not to burn the full cap a second time.
-  const unsigned max_it = opts.max_iterations;
-  switch (tier) {
-    case SolveAlgorithm::kSuccessiveSubstitution:
-      return stamp(attempt_successive(
-          b, opts.tolerance, is_fallback ? std::min(max_it, 5000u) : max_it));
-    case SolveAlgorithm::kLogarithmicReduction:
-      return stamp(attempt_logred(b, opts.tolerance, max_it));
-    case SolveAlgorithm::kNewtonShifted:
-      return stamp(attempt_newton_shifted(
-          b, opts.tolerance, is_fallback ? std::min(max_it, 10000u) : max_it));
-  }
-  throw NumericalError("solve_r: unknown algorithm tier");
+// Fill the report of a converged attempt and hand out its R.
+RSolveResult accept(const QbdBlocks& b, Matrix r, double condition,
+                    SolveReport report) {
+  const SolveAttempt& a = report.attempts.back();
+  report.converged = true;
+  report.winner = a.algorithm;
+  report.iterations = a.iterations;
+  report.final_defect = a.defect;
+  report.final_defect_raw = a.defect * residual_scale(b);
+  report.condition = condition;
+  RSolveResult out;
+  out.r = std::move(r);
+  out.iterations = report.iterations;
+  out.residual = report.final_defect;
+  out.report = std::move(report);
+  return out;
 }
 
 }  // namespace
@@ -397,7 +250,6 @@ GSolveResult solve_g_logred(const QbdBlocks& b, const SolverOptions& opts) {
 RSolveResult solve_r(const QbdBlocks& blocks, const SolverOptions& opts) {
   obs::Span span("qbd.rsolver.solve");
   static obs::Counter& solves = obs::counter("qbd.rsolver.solves");
-  static obs::Counter& fallbacks = obs::counter("qbd.rsolver.fallbacks");
   static obs::Counter& failures = obs::counter("qbd.rsolver.failures");
   solves.add();
   span.annotate("kernel_backend", linalg::to_string(linalg::kernel_backend()));
@@ -429,78 +281,59 @@ RSolveResult solve_r(const QbdBlocks& blocks, const SolverOptions& opts) {
     throw UnstableModel(msg, report.utilization);
   }
 
-  // Escalation chain: the preferred algorithm first, then -- if fallbacks
-  // are enabled -- the remaining tiers, most robust first.
-  std::vector<SolveAlgorithm> chain{tier_of(opts.algorithm)};
-  if (opts.enable_fallbacks) {
-    for (SolveAlgorithm tier : {SolveAlgorithm::kNewtonShifted,
-                                SolveAlgorithm::kLogarithmicReduction,
-                                SolveAlgorithm::kSuccessiveSubstitution}) {
-      if (std::find(chain.begin(), chain.end(), tier) == chain.end()) {
-        chain.push_back(tier);
-      }
+  Candidate c = run_logred(blocks, opts);
+  report.attempts.push_back(c.attempt);
+  if (c.deadline_expired) {
+    throw DeadlineExceeded(
+        "solve_r: deadline expired mid-solve (cooperative abort)",
+        std::move(report));
+  }
+  if (!c.attempt.converged) {
+    failures.add();
+    throw SolverFailure("solve_r: logarithmic reduction failed",
+                        std::move(report));
+  }
+  span.annotate("winner", qbd::to_string(c.attempt.algorithm));
+  span.annotate("iterations", static_cast<std::uint64_t>(c.attempt.iterations));
+  return accept(blocks, std::move(c.r), c.condition, std::move(report));
+}
+
+RSolveResult solve_r_successive_substitution(const QbdBlocks& b,
+                                             const SolverOptions& opts) {
+  b.validate();
+  const std::size_t m = b.phase_dim();
+  const linalg::Lu neg_a1(-1.0 * b.a1);
+  SolveAttempt attempt;
+  attempt.algorithm = SolveAlgorithm::kSuccessiveSubstitution;
+  Matrix r = Matrix::zeros(m, m);
+  for (unsigned it = 1; it <= opts.max_iterations; ++it) {
+    // R_{k+1} (-A1) = A0 + R_k^2 A2
+    Matrix next = neg_a1.solve_left(b.a0 + r * r * b.a2);
+    attempt.iterations = it;
+    if (!linalg::is_finite(next)) {
+      attempt.note = "iterate became non-finite";
+      break;
+    }
+    const double diff = linalg::max_abs_diff(next, r);
+    r = std::move(next);
+    if (diff < opts.tolerance) {
+      attempt.converged = true;
+      break;
     }
   }
-
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    if (i > 0) {
-      fallbacks.add();
-      // The previous tier's failure note is in the report; a fallback
-      // is the first sign of the near-blow-up pathology the slow-query
-      // log exists to surface, so say so as it happens.
-      PERFORMA_LOG(kWarn, "qbd.rsolver.fallback")
-          .kv("tier", qbd::to_string(chain[i]))
-          .kv("prev_tier", qbd::to_string(chain[i - 1]))
-          .kv("prev_note", report.attempts.back().note)
-          .kv("utilization", report.utilization);
-    }
-    Candidate c;
-    try {
-      c = run_tier(chain[i], blocks, opts, /*is_fallback=*/i > 0);
-    } catch (const DeadlineError& e) {
-      // An inner kernel (LU, expm) hit the deadline first; same abort
-      // path as the tier loops noticing it themselves.
-      c.attempt.algorithm = chain[i];
-      c.attempt.note = e.what();
-      c.deadline_expired = true;
-    } catch (const NumericalError& e) {
-      c.attempt.algorithm = chain[i];
-      c.attempt.note = e.what();
-    }
-    report.attempts.push_back(c.attempt);
-    if (c.deadline_expired) {
-      // Escalating to a fallback tier would burn the same exhausted
-      // budget: stop the chain and report the cooperative abort.
-      report.deadline_exceeded = true;
-      throw DeadlineExceeded(
-          "solve_r: deadline expired mid-solve (cooperative abort)",
-          std::move(report));
-    }
-    if (!c.attempt.converged) continue;
-
-    report.converged = true;
-    report.winner = c.attempt.algorithm;
-    report.iterations = c.attempt.iterations;
-    report.final_defect = c.attempt.defect;
-    report.final_defect_raw = c.attempt.defect * residual_scale(blocks);
-    report.condition = c.condition;
-
-    span.annotate("winner", qbd::to_string(report.winner));
-    span.annotate("iterations", static_cast<std::uint64_t>(report.iterations));
-    RSolveResult out;
-    out.r = std::move(c.r);
-    out.iterations = report.iterations;
-    out.residual = report.final_defect;
-    out.report = std::move(report);
-    return out;
+  if (!attempt.converged && attempt.note.empty()) {
+    attempt.note = "iteration budget exhausted";
   }
-
-  failures.add();
-  throw SolverFailure(
-      opts.enable_fallbacks
-          ? "solve_r: every algorithm in the fallback chain failed"
-          : "solve_r: the selected algorithm failed (fallbacks disabled)",
-      report);
+  attempt.defect = r_residual_norm(b, r);
+  SolveReport report;
+  report.attempts.push_back(attempt);
+  if (!attempt.converged) {
+    throw SolverFailure(
+        "solve_r_successive_substitution: the reference did not converge",
+        std::move(report));
+  }
+  return accept(b, std::move(r), neg_a1.condition_estimate(),
+                std::move(report));
 }
 
 double spectral_radius(const Matrix& m, double tol, unsigned max_iter) {

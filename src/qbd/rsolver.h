@@ -3,19 +3,14 @@
 //   R:  A0 + R A1 + R^2 A2 = 0   (rate matrix, Neuts)
 //   G:  A2 + A1 G + A0 G^2 = 0   (first-passage matrix)
 //
-// Three algorithms are provided, forming the tiers of the fallback chain:
-// classic successive substitution (linear convergence, trivially correct --
-// kept for cross-validation and as the ablation baseline),
-// Latouche-Ramaswami logarithmic reduction (quadratic convergence, the
-// production default), and a one-sided Newton scheme with a per-step
-// shifted local block (linear but fast in practice, robust where the
-// logarithmic-reduction defect stagnates near a blow-up point).
-//
-// solve_r() runs a guarded solve: stability pre-check first (typed
-// UnstableModel error before any iteration budget is spent), then the
-// preferred algorithm, then the remaining tiers as fallbacks; every
-// attempt is recorded in a SolveReport, and exhausting the chain throws
-// SolverFailure carrying that report.
+// solve_r() is the one production R algorithm: the mean-drift stability
+// pre-check (typed UnstableModel error before any iteration budget is
+// spent), then Latouche-Ramaswami logarithmic reduction (quadratic
+// convergence) for G and R = A0 (-(A1 + A0 G))^{-1}. The attempt is
+// recorded in a SolveReport; a failed attempt throws SolverFailure
+// carrying that report. Classic successive substitution (linear
+// convergence, trivially correct) is kept only as the reference the tests
+// cross-check logarithmic reduction against: no solving path reaches it.
 #pragma once
 
 #include "qbd/qbd.h"
@@ -24,22 +19,10 @@
 
 namespace performa::qbd {
 
-/// Algorithm selector for R computation.
-enum class RAlgorithm {
-  kLogarithmicReduction,    ///< default: quadratically convergent
-  kSuccessiveSubstitution,  ///< baseline: linearly convergent
-  kNewtonShifted,           ///< one-sided Newton, shifted local block
-};
-
 /// Options shared by the iterative solvers.
 struct SolverOptions {
   double tolerance = 1e-13;      ///< infinity-norm stopping threshold
   unsigned max_iterations = 100000;  ///< hard cap per attempt
-  RAlgorithm algorithm = RAlgorithm::kLogarithmicReduction;
-  /// When the preferred algorithm fails, escalate through the remaining
-  /// tiers instead of throwing immediately. Disable to reproduce the
-  /// single-algorithm behaviour (the A2 iteration-count test).
-  bool enable_fallbacks = true;
   /// A posteriori verification thresholds and self-healing switches,
   /// applied by QbdSolution's solving constructor (see qbd/trust.h).
   /// solve_r itself only computes the scaled residual the checks grade.
@@ -49,7 +32,7 @@ struct SolverOptions {
 /// Result of an R computation with convergence diagnostics.
 struct RSolveResult {
   Matrix r;                ///< the minimal non-negative solution R
-  unsigned iterations = 0; ///< iterations used by the winning attempt
+  unsigned iterations = 0; ///< iterations used by the attempt
   /// Scaled residual ||A0 + R A1 + R^2 A2||_inf / sum_i ||Ai||_inf at
   /// return (the raw norm is report.final_defect_raw).
   double residual = 0.0;
@@ -67,11 +50,20 @@ struct GSolveResult {
   bool deadline_expired = false;
 };
 
-/// Compute R by the selected algorithm, with guarded fallbacks (see file
-/// comment). The QBD must be irreducible and stable; an unstable model
-/// throws UnstableModel from the drift pre-check, and a solve that
-/// exhausts the fallback chain throws SolverFailure with the report.
+/// Compute R by logarithmic reduction (see file comment). The QBD must be
+/// irreducible and stable; an unstable model throws UnstableModel from the
+/// drift pre-check, a failed attempt throws SolverFailure with its
+/// one-attempt report, and an expired deadline throws DeadlineExceeded.
 RSolveResult solve_r(const QbdBlocks& blocks, const SolverOptions& opts = {});
+
+/// Reference R by successive substitution, R_{k+1} (-A1) = A0 + R_k^2 A2
+/// from R_0 = 0, stopped when an update moves no entry by opts.tolerance.
+/// Linear at rate ~sp(R), so only practical away from saturation. Tests
+/// compare logarithmic reduction against it; no solving path calls it.
+/// Runs no stability pre-check; throws SolverFailure when the budget runs
+/// out or an iterate turns non-finite.
+RSolveResult solve_r_successive_substitution(const QbdBlocks& blocks,
+                                             const SolverOptions& opts = {});
 
 /// Compute G with logarithmic reduction (used internally by solve_r and
 /// exposed for tests: G is stochastic iff the chain is recurrent).

@@ -455,16 +455,6 @@ void QbdSolution::certify(const BoundaryLevels& lv, const SolverOptions& opts) {
         put_back(best);
       }
     };
-    const auto resolve = [&](const SolverOptions& o) {
-      RSolveResult rs = solve_r(lv.tail, o);
-      r_ = std::move(rs.r);
-      r_iterations_ = rs.iterations;
-      r_residual_ = rs.residual;
-      report_ = std::move(rs.report);
-      assemble(lv);
-      ++resolves;
-    };
-
     // Rung 1: one self-healing refinement pass. (The constructor computes
     // sp(R) once the ladder has settled, so no rung computes it.)
     rung("refine", [&] {
@@ -475,17 +465,13 @@ void QbdSolution::certify(const BoundaryLevels& lv, const SolverOptions& opts) {
     rung("tight-resolve", [&] {
       SolverOptions tight = opts;
       tight.tolerance = std::max(opts.tolerance * 1e-2, 1e-15);
-      resolve(tight);
-    });
-    // Rung 3: alternate solver tier -- a different algorithm family may
-    // not share the winner's stagnation mode.
-    rung("alternate-tier", [&] {
-      SolverOptions alt = opts;
-      alt.algorithm =
-          best.rep.winner == SolveAlgorithm::kLogarithmicReduction
-              ? RAlgorithm::kNewtonShifted
-              : RAlgorithm::kLogarithmicReduction;
-      resolve(alt);
+      RSolveResult rs = solve_r(lv.tail, tight);
+      r_ = std::move(rs.r);
+      r_iterations_ = rs.iterations;
+      r_residual_ = rs.residual;
+      report_ = std::move(rs.report);
+      assemble(lv);
+      ++resolves;
     });
 
     put_back(best);

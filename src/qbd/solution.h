@@ -16,7 +16,6 @@
 //   1. one iterative-refinement pass (a linear fixed-point step on R from
 //      the current iterate + fresh boundary solve),
 //   2. a tighter-tolerance re-solve,
-//   3. a re-solve on an alternate solver tier,
 //
 // keeping the best state seen; a final rejected verdict throws
 // TrustRejected instead of releasing wrong numbers.
@@ -109,7 +108,7 @@ class QbdSolution {
   unsigned r_iterations() const noexcept { return r_iterations_; }
   double r_residual() const noexcept { return r_residual_; }
 
-  /// Full guardrail diagnostics: fallback-chain attempts, final defect,
+  /// Full guardrail diagnostics: the R attempt, final defect,
   /// spectral-radius and condition estimates, drift utilization.
   const SolveReport& report() const noexcept { return report_; }
 

@@ -24,8 +24,6 @@ const char* to_string(SolveAlgorithm a) noexcept {
       return "successive-substitution";
     case SolveAlgorithm::kLogarithmicReduction:
       return "logarithmic-reduction";
-    case SolveAlgorithm::kNewtonShifted:
-      return "newton-shifted";
   }
   return "?";
 }
@@ -69,8 +67,8 @@ std::string SolveReport::to_string() const {
 }
 
 std::string SolveReport::summary() const {
-  // One line carrying the full per-attempt trail: each attempt renders
-  // as algorithm:iterations/wall-time, with the winning tier marked by
+  // One line carrying the per-attempt trail: each attempt renders as
+  // algorithm:iterations/wall-time, with a converged attempt marked by
   // '*' so its iteration count and cost are identifiable without the
   // multi-line report.
   char line[224];

@@ -1,9 +1,9 @@
 // Solver diagnostics threaded through the matrix-geometric machinery.
 //
-// Every R/G solve produces a SolveReport describing what was attempted,
-// which algorithm won, and how good the result is. On failure the report
-// travels inside a SolverFailure exception so callers (and the perfctl
-// CLI) can print *why* a solve died instead of a bare one-line message.
+// Every R solve produces a SolveReport describing what was attempted, how
+// it ended, and how good the result is. On failure the report travels
+// inside a SolverFailure exception so callers (and the perfctl CLI) can
+// print *why* a solve died instead of a bare one-line message.
 #pragma once
 
 #include <limits>
@@ -14,18 +14,18 @@
 
 namespace performa::qbd {
 
-/// Algorithms the tiered R/G solver can attempt, in escalation order.
+/// R algorithms: solve_r runs logarithmic reduction; successive
+/// substitution is the test reference (solve_r_successive_substitution).
 enum class SolveAlgorithm {
   kSuccessiveSubstitution,  ///< linear convergence, bulletproof
   kLogarithmicReduction,    ///< quadratic convergence (Latouche-Ramaswami)
-  kNewtonShifted,           ///< one-sided Newton with per-step shifted block
 };
 
 const char* to_string(SolveAlgorithm a) noexcept;
 
-/// One entry in the fallback chain: what was tried and how it ended.
+/// One solve attempt: what was tried and how it ended.
 struct SolveAttempt {
-  SolveAlgorithm algorithm = SolveAlgorithm::kSuccessiveSubstitution;
+  SolveAlgorithm algorithm = SolveAlgorithm::kLogarithmicReduction;
   unsigned iterations = 0;  ///< iterations consumed by this attempt
   double defect = 0.0;      ///< best *scaled* defect/residual reached
   double seconds = 0.0;     ///< wall-clock time (span-backed, obs layer)
@@ -41,7 +41,7 @@ struct SolveReport {
   /// interrupted attempt's note records where the budget ran out.
   bool deadline_exceeded = false;
   SolveAlgorithm winner = SolveAlgorithm::kLogarithmicReduction;
-  unsigned iterations = 0;       ///< iterations of the winning attempt
+  unsigned iterations = 0;       ///< iterations of the converged attempt
   /// Scaled residual ||A0 + R A1 + R^2 A2||_inf / (||A0|| + ||A1|| +
   /// ||A2||) at return -- dimensionless, comparable across rate
   /// magnitudes, and the quantity the trust thresholds grade.
@@ -69,7 +69,7 @@ struct SolveReport {
   std::string summary() const;
 };
 
-/// Solve failed after exhausting the fallback chain; carries the report.
+/// The R attempt did not converge; carries its report.
 class SolverFailure : public NumericalError {
  public:
   SolverFailure(const std::string& what, SolveReport report)

@@ -21,10 +21,9 @@
 // Each check is graded against a two-threshold policy into {certified,
 // suspect, rejected}; the report's verdict is the worst check. A suspect
 // verdict triggers the self-healing escalation ladder inside QbdSolution
-// (iterative refinement -> tighter-tolerance re-solve -> alternate solver
-// tier); a final rejected verdict throws TrustRejected, which the runner
-// maps to its own outcome and the daemon answers explicitly (and never
-// caches or journals).
+// (iterative refinement -> tighter-tolerance re-solve); a final rejected
+// verdict throws TrustRejected, which the runner maps to its own outcome
+// and the daemon answers explicitly (and never caches or journals).
 #pragma once
 
 #include <string>
@@ -98,7 +97,7 @@ struct TrustReport {
   TrustVerdict verdict = TrustVerdict::kSuspect;
   std::vector<TrustCheck> checks;
   unsigned refinements = 0;  ///< self-healing refinement passes applied
-  unsigned resolves = 0;     ///< tighter-tolerance / alternate-tier re-solves
+  unsigned resolves = 0;     ///< tighter-tolerance re-solves
   std::string healing;       ///< escalation trail, e.g. "refine->certified"
 
   /// Worst check by severity; nullptr when no checks ran.

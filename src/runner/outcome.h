@@ -17,7 +17,7 @@ enum class Outcome {
   kOk,             ///< worker delivered a complete result
   kTimeout,        ///< worker exceeded its wall-clock budget (SIGKILLed)
   kCrash,          ///< worker died: signal, unexpected exit, bad payload
-  kSolverFailure,  ///< qbd::SolverFailure -- fallback chain exhausted
+  kSolverFailure,  ///< qbd::SolverFailure -- the R attempt failed
   kUnstableModel,  ///< qbd::UnstableModel -- no stationary solution
   /// The point aborted cooperatively on its obs::Deadline (no SIGKILL
   /// needed). Transient like kTimeout: a retry gets a fresh budget.

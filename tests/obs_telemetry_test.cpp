@@ -1,10 +1,9 @@
 // Production-telemetry subsystem: histogram overflow accounting,
 // Prometheus text exposition (sanitization, labels, kind conflicts,
 // cumulative histogram invariants), structured NDJSON logging (shape,
-// level gate, per-site rate limiting, fork fragment merge, query-id
-// scopes) and the crash flight recorder (ring parse, fork +
-// fatal-signal marker, clean-exit unlink).
-#include <fcntl.h>
+// level gate, per-site rate limiting, query-id scopes) and the crash
+// flight recorder (ring parse, fork + fatal-signal marker, clean-exit
+// unlink).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "obs/flight.h"
-#include "obs/fork.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
@@ -282,44 +280,6 @@ TEST_F(TelemetryTest, HotLogSiteIsRateLimitedThroughTheMacro) {
   EXPECT_GE(lines, 1u);
   // Burst cap, plus a small allowance for refill while the loop runs.
   EXPECT_LE(lines, static_cast<std::size_t>(LogSite::kBurst) + 2);
-}
-
-TEST_F(TelemetryTest, MergeLogFragmentKeepsCompleteLinesDropsTornTail) {
-  const std::string sink = temp_path("tel_log_sink");
-  set_log_file(sink);
-  ForkHandoff handoff = ForkHandoff::prepare();
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    // The child logs into its fragment, then is "killed" mid-line.
-    handoff.enter_child();
-    PERFORMA_LOG(kInfo, "tel.worker.a");
-    PERFORMA_LOG(kInfo, "tel.worker.b");
-    const int fd = ::open(log_file_path().c_str(), O_WRONLY | O_APPEND);
-    (void)!::write(fd, "{\"event\":\"torn", 14);
-    ::_exit(0);
-  }
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  EXPECT_EQ(handoff.absorb(), 2u);
-  // A worker that never wrote its fragment merges nothing.
-  EXPECT_EQ(ForkHandoff::prepare().absorb(), 0u);
-  reset_log_for_test();
-
-  const std::string content = read_file(sink);
-  ::unlink(sink.c_str());
-  const std::string worker_pid = "\"pid\":" + std::to_string(pid) + ",";
-  for (const char* event : {"tel.worker.a", "tel.worker.b"}) {
-    const std::size_t at =
-        content.find("\"event\":\"" + std::string(event) + "\"");
-    ASSERT_NE(at, std::string::npos) << event << "\n" << content;
-    const std::size_t eol = content.find('\n', at);
-    EXPECT_NE(content.substr(at, eol - at).find(worker_pid), std::string::npos)
-        << content;  // the worker's pid is kept
-  }
-  EXPECT_EQ(content.find("torn"), std::string::npos);
-  // The fragment is consumed.
-  EXPECT_TRUE(testing::SiblingFiles(sink, ".frag.").empty());
 }
 
 TEST_F(TelemetryTest, QueryIdScopesNestAndStampLogLines) {

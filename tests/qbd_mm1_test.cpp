@@ -3,6 +3,8 @@
 // R-solver + boundary + metrics.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/mm1.h"
 #include "qbd/solution.h"
 #include "test_util.h"
@@ -15,6 +17,16 @@ using performa::testing::ExpectClose;
 QbdBlocks Mm1Blocks(double lambda, double mu) {
   const map::Mmpp service(Matrix{{0.0}}, Vector{mu});
   return m_mmpp_1(service, lambda);
+}
+
+// The M/M/1 solution on the successive-substitution reference R. For a
+// scalar R the level-0 balance -lambda pi0 + mu pi1 = 0 and the
+// normalization pi0 + pi1 / (1 - R) = 1 fix the boundary.
+QbdSolution SuccessiveSubstitutionMm1(double lambda, double mu) {
+  RSolveResult ss = solve_r_successive_substitution(Mm1Blocks(lambda, mu));
+  const double pi1 = 1.0 / (mu / lambda + 1.0 / (1.0 - ss.r(0, 0)));
+  return QbdSolution(std::move(ss.r), Vector{pi1 * mu / lambda}, Vector{pi1},
+                     std::move(ss.report));
 }
 
 TEST(QbdMm1, RIsScalarRho) {
@@ -84,9 +96,7 @@ TEST(QbdMm1, PmfUptoMatchesPointwise) {
 }
 
 TEST(QbdMm1, SuccessiveSubstitutionAgrees) {
-  SolverOptions opts;
-  opts.algorithm = RAlgorithm::kSuccessiveSubstitution;
-  const QbdSolution sol(Mm1Blocks(0.6, 2.0), opts);
+  const QbdSolution sol = SuccessiveSubstitutionMm1(0.6, 2.0);
   ExpectClose(sol.mean_queue_length(), core::mm1::mean_queue_length(0.3),
               1e-7, "E[Q]");
 }
@@ -98,20 +108,21 @@ TEST(Mm1ClosedForms, InputValidation) {
   EXPECT_NEAR(core::mm1::mean_system_time(1.0, 2.0), 1.0, 1e-14);
 }
 
-// Property sweep: both algorithms, multiple utilizations and mu scales.
+// Property sweep: logarithmic reduction and the successive-substitution
+// reference, multiple utilizations and mu scales.
 struct Mm1Case {
   double rho;
   double mu;
-  RAlgorithm alg;
+  bool reference;  ///< R from solve_r_successive_substitution
 };
 
 class Mm1Property : public ::testing::TestWithParam<Mm1Case> {};
 
 TEST_P(Mm1Property, AllMetricsMatchClosedForms) {
-  const auto [rho, mu, alg] = GetParam();
-  SolverOptions opts;
-  opts.algorithm = alg;
-  const QbdSolution sol(Mm1Blocks(rho * mu, mu), opts);
+  const auto [rho, mu, reference] = GetParam();
+  const QbdSolution sol = reference
+                              ? SuccessiveSubstitutionMm1(rho * mu, mu)
+                              : QbdSolution(Mm1Blocks(rho * mu, mu));
   ExpectClose(sol.mean_queue_length(), core::mm1::mean_queue_length(rho),
               1e-7, "E[Q]");
   ExpectClose(sol.tail(20), core::mm1::tail(rho, 20), 1e-7, "tail(20)");
@@ -121,14 +132,10 @@ TEST_P(Mm1Property, AllMetricsMatchClosedForms) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, Mm1Property,
     ::testing::Values(
-        Mm1Case{0.1, 1.0, RAlgorithm::kLogarithmicReduction},
-        Mm1Case{0.5, 1.0, RAlgorithm::kLogarithmicReduction},
-        Mm1Case{0.9, 1.0, RAlgorithm::kLogarithmicReduction},
-        Mm1Case{0.5, 100.0, RAlgorithm::kLogarithmicReduction},
-        Mm1Case{0.5, 0.01, RAlgorithm::kLogarithmicReduction},
-        Mm1Case{0.1, 1.0, RAlgorithm::kSuccessiveSubstitution},
-        Mm1Case{0.5, 1.0, RAlgorithm::kSuccessiveSubstitution},
-        Mm1Case{0.9, 1.0, RAlgorithm::kSuccessiveSubstitution}));
+        Mm1Case{0.1, 1.0, false}, Mm1Case{0.5, 1.0, false},
+        Mm1Case{0.9, 1.0, false}, Mm1Case{0.5, 100.0, false},
+        Mm1Case{0.5, 0.01, false}, Mm1Case{0.1, 1.0, true},
+        Mm1Case{0.5, 1.0, true}, Mm1Case{0.9, 1.0, true}));
 
 }  // namespace
 }  // namespace performa::qbd

@@ -63,10 +63,9 @@ TEST(RSolver, AlgorithmsAgree) {
   // gap.
   const auto blocks = m_mmpp_1(PaperClusterMmpp(2, 2), 1.0);
   SolverOptions ss;
-  ss.algorithm = RAlgorithm::kSuccessiveSubstitution;
   ss.tolerance = 1e-12;
   const auto r_lr = solve_r(blocks).r;
-  const auto r_ss = solve_r(blocks, ss).r;
+  const auto r_ss = solve_r_successive_substitution(blocks, ss).r;
   EXPECT_LT(linalg::max_abs_diff(r_lr, r_ss), 1e-7);
 }
 
@@ -87,10 +86,8 @@ TEST(RSolver, SuccessiveSubstitutionNeedsManyTimesTheIterations) {
     const auto blocks = m_mmpp_1(mmpp, c.rho * mmpp.mean_rate());
     const RSolveResult lr = solve_r(blocks);
     SolverOptions ss;
-    ss.algorithm = RAlgorithm::kSuccessiveSubstitution;
-    ss.enable_fallbacks = false;
     ss.tolerance = 1e-8;
-    const RSolveResult slow = solve_r(blocks, ss);
+    const RSolveResult slow = solve_r_successive_substitution(blocks, ss);
     ASSERT_EQ(lr.report.winner, SolveAlgorithm::kLogarithmicReduction);
     ASSERT_EQ(slow.report.winner, SolveAlgorithm::kSuccessiveSubstitution);
     EXPECT_LE(lr.iterations, 16u) << "T=" << c.t;
@@ -159,7 +156,8 @@ TEST(QbdSolution, DecayRateIsTheOneSpectralRadiusOfItsR) {
   EXPECT_NE(sol.report().summary().find("sp(R)="), std::string::npos);
 
   // refine() replaces R, so it recomputes sp(R). Start from a rotted R
-  // (as a damaged journal entry could carry) so the Newton step moves it.
+  // (as a damaged journal entry could carry) so the fixed-point step
+  // moves it.
   Matrix rotted = sol.r();
   for (double& x : rotted.data()) x *= 1.0 + 1e-9;
   QbdSolution repaired(std::move(rotted), sol.pi0(), sol.pi1());

@@ -508,7 +508,8 @@ TEST(ParallelSweep, TraceMergesWorkerFragmentsWithDistinctPids) {
   obs::reset_log_for_test();
   ASSERT_EQ(sweep.points.size(), 8u);
 
-  // One merged file per sink; every fragment was consumed on reap.
+  // One file per sink: the trace fragments were consumed on reap, and
+  // the log has none (workers append to the inherited fd).
   EXPECT_TRUE(testing::SiblingFiles(trace, ".frag.").empty());
   EXPECT_TRUE(testing::SiblingFiles(log, ".frag.").empty());
   // Clean worker exits remove their flight files; the parent's stays.

@@ -158,7 +158,7 @@ TEST(Checkpoint, AppendLoadRoundTripAndAppendsWin) {
   bad.id = "p1";
   bad.outcome = Outcome::kSolverFailure;
   bad.attempts = 1;
-  bad.message = "fallback chain exhausted";
+  bad.message = "logarithmic reduction failed";
   append_point(path, bad);
 
   // A later record for p1 supersedes the degraded one.
