@@ -1,75 +1,6 @@
 #include "linalg/kron.h"
 
-#include "linalg/pool.h"
-
 namespace performa::linalg {
-
-namespace {
-
-// Shared walker for y += op(A_f)·v restricted to factor f of a Kronecker
-// sum. Factor f acts on the f-th mixed-radix digit of the state index:
-// states split as (left, i, right) with i the digit, `right` the stride of
-// one digit step. Left = true computes the vector-matrix product instead.
-template <bool Left>
-void kron_factor_accumulate(const Matrix& a, std::size_t left_count,
-                            std::size_t right_count, const double* v,
-                            double* y) {
-  const std::size_t m = a.rows();
-  for (std::size_t il = 0; il < left_count; ++il) {
-    const std::size_t block = il * m * right_count;
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        const double aij = Left ? a(j, i) : a(i, j);
-        if (aij == 0.0) continue;
-        const double* vj = v + block + j * right_count;
-        double* yi = y + block + i * right_count;
-        for (std::size_t ir = 0; ir < right_count; ++ir)
-          yi[ir] += aij * vj[ir];
-      }
-    }
-  }
-}
-
-template <bool Left>
-void kron_sum_apply_into(const std::vector<const Matrix*>& factors,
-                         const double* v, double* y, std::size_t dim) {
-  for (std::size_t i = 0; i < dim; ++i) y[i] = 0.0;
-  std::size_t right_count = dim;
-  std::size_t left_count = 1;
-  for (const Matrix* a : factors) {
-    const std::size_t m = a->rows();
-    right_count /= m;
-    kron_factor_accumulate<Left>(*a, left_count, right_count, v, y);
-    left_count *= m;
-  }
-}
-
-std::vector<const Matrix*> check_factors(const std::vector<Matrix>& factors,
-                                         std::size_t v_len,
-                                         const char* context) {
-  PERFORMA_EXPECTS(!factors.empty(), "kron_sum_apply: no factors");
-  std::vector<const Matrix*> ptrs;
-  ptrs.reserve(factors.size());
-  std::size_t dim = 1;
-  for (const Matrix& a : factors) {
-    PERFORMA_EXPECTS(a.is_square() && !a.empty(),
-                     "kron_sum_apply: factors must be square and non-empty");
-    dim *= a.rows();
-    ptrs.push_back(&a);
-  }
-  PERFORMA_EXPECTS(dim == v_len, context);
-  return ptrs;
-}
-
-std::size_t kron_dim(const Matrix& a, std::size_t n) {
-  PERFORMA_EXPECTS(a.is_square() && !a.empty() && n >= 1,
-                   "kron_sum_apply: operand must be square, n >= 1");
-  std::size_t dim = 1;
-  for (std::size_t i = 0; i < n; ++i) dim *= a.rows();
-  return dim;
-}
-
-}  // namespace
 
 Matrix kron(const Matrix& a, const Matrix& b) {
   PERFORMA_EXPECTS(!a.empty() && !b.empty(), "kron: empty operand");
@@ -95,20 +26,6 @@ Matrix kron_sum(const Matrix& a, const Matrix& b) {
          kron(Matrix::identity(a.rows()), b);
 }
 
-Matrix kron_power(const Matrix& a, std::size_t n) {
-  PERFORMA_EXPECTS(n >= 1, "kron_power: n must be >= 1");
-  Matrix out = a;
-  for (std::size_t i = 1; i < n; ++i) out = kron(out, a);
-  return out;
-}
-
-Matrix kron_sum_power(const Matrix& a, std::size_t n) {
-  PERFORMA_EXPECTS(n >= 1, "kron_sum_power: n must be >= 1");
-  Matrix out = a;
-  for (std::size_t i = 1; i < n; ++i) out = kron_sum(out, a);
-  return out;
-}
-
 Vector kron(const Vector& a, const Vector& b) {
   PERFORMA_EXPECTS(!a.empty() && !b.empty(), "kron: empty operand");
   Vector out(a.size() * b.size());
@@ -116,58 +33,6 @@ Vector kron(const Vector& a, const Vector& b) {
     for (std::size_t j = 0; j < b.size(); ++j)
       out[i * b.size() + j] = a[i] * b[j];
   return out;
-}
-
-Vector kron_sum_apply(const Matrix& a, std::size_t n, const Vector& v) {
-  const std::size_t dim = kron_dim(a, n);
-  PERFORMA_EXPECTS(v.size() == dim, "kron_sum_apply: length mismatch");
-  Vector y(dim);
-  std::vector<const Matrix*> factors(n, &a);
-  kron_sum_apply_into<false>(factors, v.data(), y.data(), dim);
-  return y;
-}
-
-Vector kron_sum_apply_left(const Matrix& a, std::size_t n, const Vector& v) {
-  const std::size_t dim = kron_dim(a, n);
-  PERFORMA_EXPECTS(v.size() == dim, "kron_sum_apply_left: length mismatch");
-  Vector y(dim);
-  std::vector<const Matrix*> factors(n, &a);
-  kron_sum_apply_into<true>(factors, v.data(), y.data(), dim);
-  return y;
-}
-
-Vector kron_sum_apply(const std::vector<Matrix>& factors, const Vector& v) {
-  const auto ptrs =
-      check_factors(factors, v.size(), "kron_sum_apply: length mismatch");
-  Vector y(v.size());
-  kron_sum_apply_into<false>(ptrs, v.data(), y.data(), v.size());
-  return y;
-}
-
-Vector kron_sum_apply_left(const std::vector<Matrix>& factors,
-                           const Vector& v) {
-  const auto ptrs =
-      check_factors(factors, v.size(), "kron_sum_apply_left: length mismatch");
-  Vector y(v.size());
-  kron_sum_apply_into<true>(ptrs, v.data(), y.data(), v.size());
-  return y;
-}
-
-Matrix kron_sum_apply_left(const Matrix& a, std::size_t n, const Matrix& x) {
-  const std::size_t dim = kron_dim(a, n);
-  PERFORMA_EXPECTS(x.cols() == dim, "kron_sum_apply_left: shape mismatch");
-  Matrix y(x.rows(), dim, 0.0);
-  const std::vector<const Matrix*> factors(n, &a);
-  // One row per task: rows are independent and the decomposition depends
-  // only on the shape, so any thread count produces identical bits.
-  parallel_for(
-      x.rows(),
-      [&](std::size_t r) {
-        kron_sum_apply_into<true>(factors, x.data().data() + r * dim,
-                                  y.data().data() + r * dim, dim);
-      },
-      /*min_tasks_to_fan_out=*/4);
-  return y;
 }
 
 }  // namespace performa::linalg

@@ -6,8 +6,6 @@
 // combining the same way on the diagonal.
 #pragma once
 
-#include <vector>
-
 #include "linalg/matrix.h"
 
 namespace performa::linalg {
@@ -19,38 +17,7 @@ Matrix kron(const Matrix& a, const Matrix& b);
 /// The generator of two independent Markov chains run jointly.
 Matrix kron_sum(const Matrix& a, const Matrix& b);
 
-/// n-fold Kronecker power A ⊗ A ⊗ ... ⊗ A (n >= 1).
-Matrix kron_power(const Matrix& a, std::size_t n);
-
-/// n-fold Kronecker sum A ⊕ A ⊕ ... ⊕ A (n >= 1); the joint generator of
-/// n independent copies of the chain with generator A.
-Matrix kron_sum_power(const Matrix& a, std::size_t n);
-
 /// Kronecker product of (row or column) vectors.
 Vector kron(const Vector& a, const Vector& b);
-
-// Matrix-free Kronecker-sum application. A^{⊕n} over an m-phase factor has
-// m^n rows but only n·m nonzero blocks per row; these kernels walk the
-// mixed-radix index space directly, so Q1^{⊕N}·v costs O(n·m^{n+1})
-// instead of the O(m^{2n}) materialized product -- the difference between
-// N=5 and N in the hundreds for the residual checks in the R-solver.
-
-/// y = (A^{⊕n})·v without materializing the sum (v has length m^n, A m-by-m
-/// square, n >= 1).
-Vector kron_sum_apply(const Matrix& a, std::size_t n, const Vector& v);
-
-/// y = v·(A^{⊕n}) without materializing the sum.
-Vector kron_sum_apply_left(const Matrix& a, std::size_t n, const Vector& v);
-
-/// Heterogeneous variants: y = (A_1 ⊕ A_2 ⊕ ... ⊕ A_k)·v and the left
-/// product, with factors of mixed (square) sizes.
-Vector kron_sum_apply(const std::vector<Matrix>& factors, const Vector& v);
-Vector kron_sum_apply_left(const std::vector<Matrix>& factors,
-                           const Vector& v);
-
-/// Y = X·(A^{⊕n}) row-wise and matrix-free (X has m^n columns); rows fan
-/// out over the linalg thread pool with a fixed decomposition, so the
-/// result is bit-identical for any PERFORMA_THREADS value.
-Matrix kron_sum_apply_left(const Matrix& a, std::size_t n, const Matrix& x);
 
 }  // namespace performa::linalg

@@ -199,10 +199,10 @@ std::size_t pool_live_workers() noexcept {
 namespace detail {
 
 void parallel_for_impl(std::size_t n_tasks, void (*fn)(void*, std::size_t),
-                       void* ctx, std::size_t min_tasks_to_fan_out) {
+                       void* ctx) {
   if (n_tasks == 0) return;
   PoolState* s = state();
-  if (s->configured <= 1 || n_tasks < min_tasks_to_fan_out) {
+  if (s->configured <= 1 || n_tasks < 2) {
     for (std::size_t i = 0; i < n_tasks; ++i) fn(ctx, i);
     return;
   }

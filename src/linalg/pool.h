@@ -56,21 +56,19 @@ std::size_t pool_live_workers() noexcept;
 
 namespace detail {
 void parallel_for_impl(std::size_t n_tasks, void (*fn)(void*, std::size_t),
-                       void* ctx, std::size_t min_tasks_to_fan_out);
+                       void* ctx);
 }
 
 /// Run f(0), f(1), ..., f(n_tasks-1), possibly concurrently. Tasks MUST
 /// write disjoint outputs and MUST NOT throw (kernels validate before
-/// fanning out). Runs inline when the pool has one thread, when n_tasks
-/// is below `min_tasks_to_fan_out`, or in a forked child whose parent
-/// created the pool.
+/// fanning out). Runs inline when the pool has one thread, when there is
+/// a single task, or in a forked child whose parent created the pool.
 template <typename F>
-void parallel_for(std::size_t n_tasks, F&& f,
-                  std::size_t min_tasks_to_fan_out = 2) {
+void parallel_for(std::size_t n_tasks, F&& f) {
   using Fn = std::remove_reference_t<F>;
   detail::parallel_for_impl(
       n_tasks, [](void* ctx, std::size_t i) { (*static_cast<Fn*>(ctx))(i); },
-      &f, min_tasks_to_fan_out);
+      &f);
 }
 
 }  // namespace performa::linalg

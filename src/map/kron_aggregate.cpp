@@ -4,94 +4,6 @@
 
 namespace performa::map {
 
-Mmpp kron_aggregate(const ServerModel& server, unsigned n_servers) {
-  PERFORMA_EXPECTS(n_servers >= 1, "kron_aggregate: need at least 1 server");
-  const Mmpp& one = server.mmpp();
-
-  Matrix q = one.generator();
-  Vector rates = one.rates();
-  for (unsigned k = 1; k < n_servers; ++k) {
-    q = linalg::kron_sum(q, one.generator());
-    // Rates are the diagonal of L_{k+1} = L_k ⊕ L1: they add across servers.
-    Vector next(rates.size() * one.dim());
-    for (std::size_t i = 0; i < rates.size(); ++i)
-      for (std::size_t j = 0; j < one.dim(); ++j)
-        next[i * one.dim() + j] = rates[i] + one.rates()[j];
-    rates = std::move(next);
-  }
-  return Mmpp(std::move(q), std::move(rates));
-}
-
-std::size_t kron_state_count(const ServerModel& server, unsigned n_servers) {
-  std::size_t count = 1;
-  for (unsigned k = 0; k < n_servers; ++k) count *= server.dim();
-  return count;
-}
-
-KronMmpp::KronMmpp(Mmpp server, unsigned n_servers)
-    : one_(std::move(server)), n_(n_servers) {
-  PERFORMA_EXPECTS(n_servers >= 1, "KronMmpp: need at least 1 server");
-  dim_ = 1;
-  for (unsigned k = 0; k < n_; ++k) dim_ *= one_.dim();
-}
-
-KronMmpp::KronMmpp(const ServerModel& server, unsigned n_servers)
-    : KronMmpp(server.mmpp(), n_servers) {}
-
-Vector KronMmpp::apply(const Vector& v) const {
-  return linalg::kron_sum_apply(one_.generator(), n_, v);
-}
-
-Vector KronMmpp::apply_left(const Vector& v) const {
-  return linalg::kron_sum_apply_left(one_.generator(), n_, v);
-}
-
-Matrix KronMmpp::apply_left(const Matrix& x) const {
-  return linalg::kron_sum_apply_left(one_.generator(), n_, x);
-}
-
-double KronMmpp::rate(std::size_t state) const {
-  PERFORMA_EXPECTS(state < dim_, "KronMmpp::rate: state out of range");
-  const std::size_t m = one_.dim();
-  double total = 0.0;
-  for (unsigned k = 0; k < n_; ++k) {
-    total += one_.rates()[state % m];
-    state /= m;
-  }
-  return total;
-}
-
-Vector KronMmpp::rate_vector() const {
-  // Same digit recurrence as the materializing loop in kron_aggregate:
-  // rates add across servers.
-  Vector rates = one_.rates();
-  for (unsigned k = 1; k < n_; ++k) {
-    Vector next(rates.size() * one_.dim());
-    for (std::size_t i = 0; i < rates.size(); ++i)
-      for (std::size_t j = 0; j < one_.dim(); ++j)
-        next[i * one_.dim() + j] = rates[i] + one_.rates()[j];
-    rates = std::move(next);
-  }
-  return rates;
-}
-
-Vector KronMmpp::stationary() const {
-  const Vector pi1 = one_.stationary_phases();
-  Vector pi = pi1;
-  for (unsigned k = 1; k < n_; ++k) pi = linalg::kron(pi, pi1);
-  return pi;
-}
-
-double KronMmpp::mean_rate() const {
-  return static_cast<double>(n_) * one_.mean_rate();
-}
-
-Mmpp KronMmpp::materialize() const {
-  Matrix q = one_.generator();
-  for (unsigned k = 1; k < n_; ++k) q = linalg::kron_sum(q, one_.generator());
-  return Mmpp(std::move(q), rate_vector());
-}
-
 Mmpp heterogeneous_aggregate(const std::vector<ServerModel>& servers) {
   PERFORMA_EXPECTS(!servers.empty(),
                    "heterogeneous_aggregate: need at least 1 server");
@@ -100,6 +12,7 @@ Mmpp heterogeneous_aggregate(const std::vector<ServerModel>& servers) {
   for (std::size_t s = 1; s < servers.size(); ++s) {
     const Mmpp& next = servers[s].mmpp();
     q = linalg::kron_sum(q, next.generator());
+    // Rates are the diagonal of L_{s+1} = L_s ⊕ L: they add across servers.
     Vector combined(rates.size() * next.dim());
     for (std::size_t i = 0; i < rates.size(); ++i)
       for (std::size_t j = 0; j < next.dim(); ++j)

@@ -14,66 +14,13 @@
 
 namespace performa::map {
 
-/// MMPP of N independent, statistically identical servers, full
-/// (distinguishable) product state space.
-Mmpp kron_aggregate(const ServerModel& server, unsigned n_servers);
-
-/// State-space size of the Kronecker form: dim(server)^N.
-std::size_t kron_state_count(const ServerModel& server, unsigned n_servers);
-
-/// Aggregation of *heterogeneous* servers (different speeds, fault and
-/// repair processes): the paper assumes statistically identical nodes,
-/// but the Kronecker construction does not care. No lumping is possible
-/// here, so the state space is the full product -- keep the cluster
-/// small. Answers design questions like "two reliable nodes or three
-/// flaky ones?".
+/// MMPP of independent servers over the full (distinguishable) product
+/// state space. For the paper's N statistically identical servers pass
+/// `std::vector<ServerModel>(n, server)`. The servers may also be
+/// *heterogeneous* (different speeds, fault and repair processes): the
+/// Kronecker construction does not care, but no lumping is possible then,
+/// so keep the cluster small. Answers design questions like "two reliable
+/// nodes or three flaky ones?".
 Mmpp heterogeneous_aggregate(const std::vector<ServerModel>& servers);
-
-/// Matrix-free view of the N-server Kronecker aggregate <Q1^{⊕N}, L1^{⊕N}>.
-///
-/// Stores only the m-phase per-server MMPP and exposes the m^N-dimensional
-/// operator through apply()/apply_left() (linalg::kron_sum_apply under the
-/// hood), the exact per-state rate ladder through rate(), and the product
-/// stationary vector pi1^{⊗N} -- none of which ever materializes an
-/// m^N x m^N matrix. This is what lets R-solver residual and utilization
-/// checks run at state-space sizes where even storing Q_N is impossible.
-class KronMmpp {
- public:
-  KronMmpp(Mmpp server, unsigned n_servers);
-  KronMmpp(const ServerModel& server, unsigned n_servers);
-
-  /// The m-phase single-server MMPP being superposed.
-  const Mmpp& server() const noexcept { return one_; }
-  unsigned servers() const noexcept { return n_; }
-  /// Product state count m^N.
-  std::size_t dim() const noexcept { return dim_; }
-
-  /// y = Q_N · v (matrix-free, O(N·m^{N+1})).
-  Vector apply(const Vector& v) const;
-  /// y = v · Q_N.
-  Vector apply_left(const Vector& v) const;
-  /// Y = X · Q_N row-wise (thread-pool parallel, bit-stable).
-  Matrix apply_left(const Matrix& x) const;
-
-  /// Event rate of product state s: the sum of the per-server phase rates
-  /// read off s's mixed-radix digits (the diagonal of L_N).
-  double rate(std::size_t state) const;
-  /// All m^N state rates (the diagonal of L_N as a vector).
-  Vector rate_vector() const;
-
-  /// Stationary phases of the joint modulating chain: pi1^{⊗N}, exact by
-  /// independence -- no m^N-state GTH elimination required.
-  Vector stationary() const;
-  /// Long-run completion rate: N · (pi1 · rates1).
-  double mean_rate() const;
-
-  /// Dense equivalent (kron_aggregate); only sensible for small N.
-  Mmpp materialize() const;
-
- private:
-  Mmpp one_;
-  unsigned n_;
-  std::size_t dim_;
-};
 
 }  // namespace performa::map

@@ -4,7 +4,6 @@
 
 #include "linalg/ctmc.h"
 #include "linalg/kron.h"
-#include "obs/metrics.h"
 
 namespace performa::qbd {
 
@@ -77,12 +76,6 @@ QbdBlocks m_mmpp_1(const map::Mmpp& service, double lambda) {
   blocks.a1 = q - lam - svc;
   blocks.a2 = svc;
   blocks.validate();
-  return blocks;
-}
-
-QbdBlocks m_mmpp_1_kron(const map::KronMmpp& cluster, double lambda) {
-  QbdBlocks blocks = m_mmpp_1(cluster.materialize(), lambda);
-  blocks.phase_kron = std::make_shared<const map::KronMmpp>(cluster);
   return blocks;
 }
 
@@ -207,28 +200,11 @@ double discard_fraction(const map::LumpedAggregate& cluster, double lambda,
   return linalg::dot(pi_levels_ge1, crash_rates) / lambda;
 }
 
-namespace {
-
-// Stationary phase vector of the full phase process A = A0 + A1 + A2.
-Vector phase_stationary(const QbdBlocks& blocks) {
-  return linalg::stationary_distribution(blocks.a0 + blocks.a1 + blocks.a2);
-}
-
-}  // namespace
-
 double utilization(const QbdBlocks& blocks) {
   const std::size_t m = blocks.phase_dim();
-  Vector pi;
-  if (blocks.phase_kron != nullptr && blocks.phase_kron->dim() == m) {
-    // Kronecker structure: the joint modulating chain is N independent
-    // copies, so its stationary vector is the product pi1^{⊗N} -- exact,
-    // and O(N·m) instead of a GTH elimination on m^N states.
-    static obs::Counter& hits = obs::counter("qbd.kron.stationary");
-    hits.add();
-    pi = blocks.phase_kron->stationary();
-  } else {
-    pi = phase_stationary(blocks);
-  }
+  // Stationary phase vector of the full phase process A = A0 + A1 + A2.
+  const Vector pi =
+      linalg::stationary_distribution(blocks.a0 + blocks.a1 + blocks.a2);
   const Vector e = linalg::ones(m);
   const double up = linalg::dot(pi, blocks.a0 * e);
   const double down = linalg::dot(pi, blocks.a2 * e);

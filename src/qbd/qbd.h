@@ -11,9 +11,6 @@
 // are homogeneous. All blocks share one phase dimension m.
 #pragma once
 
-#include <memory>
-
-#include "map/kron_aggregate.h"
 #include "map/lumped_aggregate.h"
 #include "map/map_process.h"
 #include "map/mmpp.h"
@@ -32,15 +29,6 @@ struct QbdBlocks {
   Matrix a1;   ///< local block, levels >= 1
   Matrix a2;   ///< down (service) block, levels >= 2
 
-  /// Optional structure certificate set by m_mmpp_1_kron: the phase
-  /// process is the Kronecker sum Q1^{⊕N} and A0/A2 are diagonal. When
-  /// present, utilization() skips the O(m^3N) GTH elimination (the
-  /// stationary phases are pi1^{⊗N} by independence) and r_residual_norm
-  /// computes R·A1 matrix-free through kron_sum_apply instead of a dense
-  /// m^N-order product. Plain dense blocks leave this null and nothing
-  /// changes.
-  std::shared_ptr<const map::KronMmpp> phase_kron;
-
   std::size_t phase_dim() const noexcept { return a1.rows(); }
 
   /// Throws InvalidArgument unless all blocks are m x m and the block rows
@@ -54,12 +42,6 @@ struct QbdBlocks {
 /// Sec. 2.2). Blocks: B00 = Q - lambda I, B01 = A0 = lambda I,
 /// B10 = A2 = M, A1 = Q - lambda I - M.
 QbdBlocks m_mmpp_1(const map::Mmpp& service, double lambda);
-
-/// M/MMPP/1 queue over the full (distinguishable-server) Kronecker state
-/// space, carrying the matrix-free structure certificate. Blocks are the
-/// same as m_mmpp_1 on cluster.materialize(); solver-side residual and
-/// stability checks exploit the Kronecker form (see QbdBlocks::phase_kron).
-QbdBlocks m_mmpp_1_kron(const map::KronMmpp& cluster, double lambda);
 
 /// MAP/M/1 dual (the N-Burst teletraffic model of Sec. 2.3): MMPP arrivals
 /// <Q, L> into a single exponential server of rate mu.

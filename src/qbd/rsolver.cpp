@@ -202,30 +202,6 @@ double residual_scale(const QbdBlocks& b) noexcept {
 }
 
 double r_residual_norm(const QbdBlocks& b, const Matrix& r) {
-  if (b.phase_kron != nullptr && b.phase_kron->dim() == b.phase_dim()) {
-    // Kronecker fast path (blocks from m_mmpp_1_kron): A1 = Q_N - A0 - A2
-    // with diagonal A0, A2, so
-    //   A0 + R A1 + R^2 A2 = A0 + R·Q_N - R·(D0 + D2) + R·(R·D2),
-    // where R·Q_N is computed matrix-free by kron_sum_apply and the
-    // diagonal products are column scalings. Only one dense m^N-order
-    // product (R·(R·D2)) survives; the R·A1 product never materializes.
-    static obs::Counter& kron_residuals =
-        obs::counter("qbd.rsolver.kron_residuals");
-    kron_residuals.add();
-    const std::size_t n = b.phase_dim();
-    Matrix res = b.phase_kron->apply_left(r);  // R · Q_N
-    Matrix rd2(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j) rd2(i, j) = r(i, j) * b.a2(j, j);
-    const Matrix r2d2 = r * rd2;  // R^2 A2
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        res(i, j) += r2d2(i, j) - r(i, j) * (b.a0(j, j) + b.a2(j, j));
-      }
-      res(i, i) += b.a0(i, i);
-    }
-    return linalg::norm_inf(res) / residual_scale(b);
-  }
   return linalg::norm_inf(b.a0 + r * b.a1 + r * r * b.a2) / residual_scale(b);
 }
 
@@ -254,7 +230,6 @@ RSolveResult solve_r(const QbdBlocks& blocks, const SolverOptions& opts) {
   solves.add();
   span.annotate("kernel_backend", linalg::to_string(linalg::kernel_backend()));
   span.annotate("threads", static_cast<std::uint64_t>(linalg::pool_threads()));
-  span.annotate("kron", blocks.phase_kron != nullptr ? 1.0 : 0.0);
   blocks.validate();
 
   SolveReport report;

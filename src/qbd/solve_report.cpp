@@ -16,6 +16,23 @@ std::string sp_field(double sp, int precision) {
   return buf;
 }
 
+// "<status> over <n> attempt(s)[, last defect=<d>]" for a solve that did
+// not converge. Such a solve has no winner, and its final defect and
+// condition estimate were never computed, so neither rendering prints
+// those fields; the last attempt's defect is what it did reach.
+std::string failed_head(const SolveReport& r, const char* status) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "%s over %zu attempt(s)", status,
+                r.attempts.size());
+  std::string out = buf;
+  if (!r.attempts.empty()) {
+    std::snprintf(buf, sizeof buf, ", last defect=%.3e",
+                  r.attempts.back().defect);
+    out += buf;
+  }
+  return out;
+}
+
 }  // namespace
 
 const char* to_string(SolveAlgorithm a) noexcept {
@@ -31,22 +48,28 @@ const char* to_string(SolveAlgorithm a) noexcept {
 std::string SolveReport::to_string() const {
   char line[192];
   std::string out;
-  std::snprintf(line, sizeof line,
-                "SolveReport: %s, winner=%s, iterations=%u\n",
-                converged          ? "converged"
-                : deadline_exceeded ? "DEADLINE EXCEEDED"
-                                    : "FAILED",
-                qbd::to_string(winner), iterations);
-  out += line;
-  std::snprintf(line, sizeof line, "  defect=%.3e (raw %.3e)  ", final_defect,
-                final_defect_raw);
+  if (converged) {
+    std::snprintf(line, sizeof line,
+                  "SolveReport: converged, winner=%s, iterations=%u\n"
+                  "  defect=%.3e (raw %.3e)  ",
+                  qbd::to_string(winner), iterations, final_defect,
+                  final_defect_raw);
+  } else {
+    std::snprintf(line, sizeof line, "SolveReport: %s\n  ",
+                  failed_head(*this, deadline_exceeded ? "DEADLINE EXCEEDED"
+                                                       : "FAILED")
+                      .c_str());
+  }
   out += line;
   if (const std::string sp = sp_field(spectral_radius, 6); !sp.empty()) {
     out += sp;
     out += "  ";
   }
-  std::snprintf(line, sizeof line, "cond~%.3e  rho=%.6f\n", condition,
-                utilization);
+  if (converged) {
+    std::snprintf(line, sizeof line, "cond~%.3e  ", condition);
+    out += line;
+  }
+  std::snprintf(line, sizeof line, "rho=%.6f\n", utilization);
   out += line;
   if (!query_id.empty()) {
     out += "  qid=";
@@ -72,13 +95,18 @@ std::string SolveReport::summary() const {
   // '*' so its iteration count and cost are identifiable without the
   // multi-line report.
   char line[224];
-  std::snprintf(line, sizeof line,
-                "%s: %s after %u its over %zu attempt(s), defect=%.3e, ",
-                converged          ? "converged"
-                : deadline_exceeded ? "deadline exceeded"
-                                    : "solver failed",
-                qbd::to_string(winner), iterations, attempts.size(),
-                final_defect);
+  if (converged) {
+    std::snprintf(line, sizeof line,
+                  "converged: %s after %u its over %zu attempt(s), "
+                  "defect=%.3e, ",
+                  qbd::to_string(winner), iterations, attempts.size(),
+                  final_defect);
+  } else {
+    std::snprintf(line, sizeof line, "%s, ",
+                  failed_head(*this, deadline_exceeded ? "deadline exceeded"
+                                                       : "solver failed")
+                      .c_str());
+  }
   std::string out = line;
   if (const std::string sp = sp_field(spectral_radius, 4); !sp.empty()) {
     out += sp;

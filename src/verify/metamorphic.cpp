@@ -9,7 +9,6 @@
 
 #include "core/blowup.h"
 #include "linalg/errors.h"
-#include "linalg/kron.h"
 #include "map/kron_aggregate.h"
 #include "medist/me_dist.h"
 #include "medist/tpt.h"
@@ -155,7 +154,8 @@ RelationOutcome check_lumped_vs_full(const ModelDraw& draw) {
 
   const map::Mmpp lumped =
       map::LumpedAggregate(server, clamped.n_servers).mmpp();
-  const map::Mmpp full = map::kron_aggregate(server, clamped.n_servers);
+  const map::Mmpp full = map::heterogeneous_aggregate(
+      std::vector<map::ServerModel>(clamped.n_servers, server));
   const double lambda = clamped.rho * lumped.mean_rate();
 
   const qbd::QbdSolution a = solve(lumped, lambda);
@@ -259,78 +259,6 @@ RelationOutcome check_tail_exponent(const ModelDraw& draw) {
   // both from a geometric decay, which leaves the band entirely.
   if (std::abs(slope + beta) > 0.25) {
     return fail(cfg, "tail-exponent violated: " + detail);
-  }
-  return {true, detail};
-}
-
-RelationOutcome check_kron_matrix_free(const ModelDraw& draw) {
-  // Part 1: the structure certificate must be invisible in the answer.
-  // Solve the same M/MMPP/1 queue twice -- once through the matrix-free
-  // Kronecker blocks (qbd::m_mmpp_1_kron), once through the materialized
-  // m^N generator -- and demand the performance measures coincide. The
-  // dense oracle needs the full product chain, so clamp like
-  // lumped-vs-full.
-  ModelDraw clamped = draw;
-  clamped.n_servers = std::min(std::max(draw.n_servers, 2u), 3u);
-  clamped.t_phases = std::min(draw.t_phases, 3u);
-  const map::KronMmpp cluster(clamped.server(), clamped.n_servers);
-  const double lambda = clamped.rho * cluster.mean_rate();
-
-  const qbd::QbdSolution structured(qbd::m_mmpp_1_kron(cluster, lambda));
-  const qbd::QbdSolution dense(qbd::m_mmpp_1(cluster.materialize(), lambda));
-  const double d_mean =
-      rel_diff(structured.mean_queue_length(), dense.mean_queue_length());
-  const double d_empty =
-      rel_diff(structured.probability_empty(), dense.probability_empty());
-  const double d_tail = rel_diff(structured.tail(25), dense.tail(25));
-
-  // Part 2: factor permutation. Swapping the factors of a heterogeneous
-  // Kronecker sum is a relabelling of the product space, so the
-  // matrix-free walker's action must permute with it -- element for
-  // element, not merely in distribution.
-  std::mt19937_64 rng(0xf2eeu ^ draw.seed);
-  auto fill = [&rng](linalg::Matrix& q) {
-    std::uniform_real_distribution<double> uni(0.05, 2.0);
-    for (std::size_t r = 0; r < q.rows(); ++r) {
-      double total = 0.0;
-      for (std::size_t c = 0; c < q.cols(); ++c) {
-        if (r == c) continue;
-        q(r, c) = uni(rng);
-        total += q(r, c);
-      }
-      q(r, r) = -total;
-    }
-  };
-  linalg::Matrix a(2, 2, 0.0);
-  linalg::Matrix b(3, 3, 0.0);
-  fill(a);
-  fill(b);
-  std::uniform_real_distribution<double> uv(-1.0, 1.0);
-  linalg::Vector v(6);
-  for (double& x : v) x = uv(rng);
-  const linalg::Vector fwd = linalg::kron_sum_apply({a, b}, v);
-  linalg::Vector w(6);
-  for (std::size_t i1 = 0; i1 < 2; ++i1) {
-    for (std::size_t i2 = 0; i2 < 3; ++i2) w[i2 * 2 + i1] = v[i1 * 3 + i2];
-  }
-  const linalg::Vector rev = linalg::kron_sum_apply({b, a}, w);
-  double d_perm = 0.0;
-  for (std::size_t i1 = 0; i1 < 2; ++i1) {
-    for (std::size_t i2 = 0; i2 < 3; ++i2) {
-      d_perm = std::max(
-          d_perm, std::abs(fwd[i1 * 3 + i2] - rev[i2 * 2 + i1]));
-    }
-  }
-
-  const std::string detail =
-      format("dim=%zu dmean=%.3e dempty=%.3e dtail=%.3e dperm=%.3e",
-             cluster.dim(), d_mean, d_empty, d_tail, d_perm);
-  if (structured.trust().verdict != qbd::TrustVerdict::kCertified) {
-    return fail(draw, "kron-matrix-free: structured solve not certified: " +
-                          detail);
-  }
-  if (d_mean > 1e-8 || d_empty > 1e-8 || d_tail > 1e-7 || d_perm > 1e-12) {
-    return fail(draw, "kron-matrix-free violated: " + detail);
   }
   return {true, detail};
 }

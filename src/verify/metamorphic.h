@@ -76,12 +76,6 @@ RelationOutcome check_server_permutation(const ModelDraw& draw);
 RelationOutcome check_lumped_vs_full(const ModelDraw& draw);
 RelationOutcome check_lambda_monotonicity(const ModelDraw& draw);
 RelationOutcome check_tail_exponent(const ModelDraw& draw);
-/// Matrix-free structure relation: solving through the Kronecker
-/// certificate (qbd::m_mmpp_1_kron, matrix-free residual/utilization
-/// paths) must agree with the dense blocks, and permuting the factor
-/// order of the heterogeneous matrix-free operator must permute -- not
-/// change -- its action.
-RelationOutcome check_kron_matrix_free(const ModelDraw& draw);
 /// Cross-path relation: level-dependent blocks whose every service level
 /// equals the top level must reproduce the homogeneous solve.
 RelationOutcome check_level_dependent_vs_homogeneous(const ModelDraw& draw);

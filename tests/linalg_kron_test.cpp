@@ -69,20 +69,6 @@ TEST(KronSum, JointStationaryIsProduct) {
   EXPECT_LT(max_abs_diff(joint, kron(pi1, pi2)), 1e-12);
 }
 
-TEST(KronPower, MatchesRepeatedKron) {
-  const Matrix a = RandomMatrix(2, 33);
-  EXPECT_LT(max_abs_diff(kron_power(a, 3), kron(kron(a, a), a)), 1e-13);
-  EXPECT_LT(max_abs_diff(kron_power(a, 1), a), 1e-15);
-  EXPECT_THROW(kron_power(a, 0), InvalidArgument);
-}
-
-TEST(KronSumPower, DimensionGrowth) {
-  const Matrix q = RandomGenerator(3, 9);
-  EXPECT_EQ(kron_sum_power(q, 2).rows(), 9u);
-  EXPECT_EQ(kron_sum_power(q, 3).rows(), 27u);
-  EXPECT_TRUE(is_generator(kron_sum_power(q, 3)));
-}
-
 // Property: exp over Kronecker sum factorizes -- checked indirectly via
 // stationary vectors across a parameter sweep of chain sizes.
 class KronSumProperty

@@ -114,18 +114,22 @@ TEST(ServerModel, UpDownCycleRatesBalance) {
 
 // Property: availability formula across a sweep of MTTF/MTTR and
 // distribution shapes.
+// gtest prints a parameter without operator<< as its raw bytes, and the
+// CTest name embeds that text, so the case must have no padding bytes.
 struct AvailCase {
   double mttf;
   double mttr;
-  unsigned t_phases;
+  std::size_t t_phases;
 };
+static_assert(sizeof(AvailCase) == 2 * sizeof(double) + sizeof(std::size_t));
 
 class AvailabilityProperty : public ::testing::TestWithParam<AvailCase> {};
 
 TEST_P(AvailabilityProperty, RenewalRewardHolds) {
   const auto [mttf, mttr, t] = GetParam();
-  const ServerModel s(exponential_from_mean(mttf),
-                      make_tpt(TptSpec{t, 1.4, 0.2, mttr}), 1.0, 0.5);
+  const ServerModel s(
+      exponential_from_mean(mttf),
+      make_tpt(TptSpec{static_cast<unsigned>(t), 1.4, 0.2, mttr}), 1.0, 0.5);
   ExpectClose(s.availability(), mttf / (mttf + mttr), 1e-9, "availability");
 }
 

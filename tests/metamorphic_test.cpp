@@ -52,12 +52,6 @@ TEST_P(Metamorphic, BlowupTailExponentMatchesBeta) {
   EXPECT_TRUE(out.pass) << out.detail;
 }
 
-TEST_P(Metamorphic, MatrixFreeKroneckerAgreesWithDense) {
-  const RelationOutcome out =
-      check_kron_matrix_free(draw_model(Seed(GetParam())));
-  EXPECT_TRUE(out.pass) << out.detail;
-}
-
 TEST_P(Metamorphic, LevelDependentWithConstantServiceMatchesHomogeneous) {
   const RelationOutcome out =
       check_level_dependent_vs_homogeneous(draw_model(Seed(GetParam())));

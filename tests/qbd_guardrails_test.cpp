@@ -122,6 +122,16 @@ TEST(Guardrails, StagnatedLogredFailsWithOneAttempt) {
     EXPECT_EQ(a.algorithm, SolveAlgorithm::kLogarithmicReduction);
     EXPECT_FALSE(a.converged);
     EXPECT_NE(a.note.find("G defect stagnated"), std::string::npos) << a.note;
+    // Both renderings describe the failed attempt: no winner, none of the
+    // never-computed zero fields, and the defect the attempt reached.
+    char defect[32];
+    std::snprintf(defect, sizeof defect, "defect=%.3e", a.defect);
+    for (const std::string& text : {report.to_string(), report.summary()}) {
+      EXPECT_EQ(text.find("winner="), std::string::npos) << text;
+      EXPECT_EQ(text.find("defect=0.000e+00"), std::string::npos) << text;
+      EXPECT_EQ(text.find("cond~"), std::string::npos) << text;
+      EXPECT_NE(text.find(defect), std::string::npos) << text;
+    }
   }
 }
 

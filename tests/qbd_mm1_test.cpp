@@ -110,11 +110,14 @@ TEST(Mm1ClosedForms, InputValidation) {
 
 // Property sweep: logarithmic reduction and the successive-substitution
 // reference, multiple utilizations and mu scales.
+// gtest prints a parameter without operator<< as its raw bytes, and the
+// CTest name embeds that text, so the case must have no padding bytes.
 struct Mm1Case {
   double rho;
   double mu;
-  bool reference;  ///< R from solve_r_successive_substitution
+  std::size_t reference;  ///< nonzero: R from solve_r_successive_substitution
 };
+static_assert(sizeof(Mm1Case) == 2 * sizeof(double) + sizeof(std::size_t));
 
 class Mm1Property : public ::testing::TestWithParam<Mm1Case> {};
 
