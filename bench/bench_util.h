@@ -22,7 +22,6 @@
 //   PERFORMA_CHECKPOINT     checkpoint file (completed points appended)
 //   PERFORMA_RESUME=1       reuse completed points from the checkpoint
 //   PERFORMA_POINT_TIMEOUT  per-point wall-clock budget in seconds
-//   PERFORMA_RUNNER_ISOLATE=0  run points in-process (no fork/timeout)
 //   PERFORMA_GOLDEN         golden checkpoint to regression-compare against
 //   PERFORMA_JOBS           points in flight at once (default: one per
 //                           hardware thread; the CSV is identical either way)
@@ -80,9 +79,6 @@ inline runner::SweepOptions sweep_options_from_env() {
   if (const char* v = std::getenv("PERFORMA_POINT_TIMEOUT")) {
     opts.timeout_seconds = std::atof(v);
   }
-  if (const char* v = std::getenv("PERFORMA_RUNNER_ISOLATE")) {
-    opts.isolate = std::atoi(v) != 0;
-  }
   if (const char* v = std::getenv("PERFORMA_JOBS")) {
     const int jobs = std::atoi(v);
     if (jobs > 0) opts.jobs = static_cast<unsigned>(jobs);
@@ -90,7 +86,6 @@ inline runner::SweepOptions sweep_options_from_env() {
   if (const char* v = std::getenv("PERFORMA_PROGRESS")) {
     opts.progress = std::atoi(v) != 0;
   }
-  if (!opts.isolate) opts.jobs = 1;  // inline mode is sequential
   return opts;
 }
 

@@ -18,7 +18,6 @@
 //   --timeout <seconds>  sweep: per-point wall-clock budget (0 = none)
 //   --retries <n>        sweep: attempts per point for transient failures
 //   --sim-cycles <n>     sweep: also simulate each point (n UP/DOWN cycles)
-//   --no-isolate         sweep: run points in-process (no fork, no timeout)
 //   -j/--jobs <n>        sweep: points in flight at once (default: nproc)
 //   --progress           sweep: live pool status on stderr (plain lines
 //                        when stderr is not a tty)
@@ -32,8 +31,9 @@
 //   --threads <n>        linalg pool width for the blocked kernels
 //                        (default $PERFORMA_THREADS, else hardware);
 //                        results are bit-identical for every value
-//   --kernel <name>      dense-kernel backend: blocked (default) or
-//                        reference ($PERFORMA_KERNEL_BACKEND too)
+//
+// Any other argument that starts with '-' and is not a number is a
+// usage error.
 //
 // The sweep runs up to --jobs points at once, each in a supervised
 // worker subprocess: hung points are SIGKILLed at the timeout and
@@ -86,7 +86,6 @@ struct Flags {
   double trust_floor = -1.0;  // >= 0: clamp every trust threshold to this
   bool resume = false;
   bool sync = false;
-  bool isolate = true;
   bool progress = false;
   double timeout_seconds = 0.0;
   unsigned retries = 3;
@@ -245,9 +244,7 @@ int CmdSweep(int argc, char** argv, const Flags& flags) {
   opts.sync_checkpoint = flags.sync;
   opts.timeout_seconds = flags.timeout_seconds;
   opts.retry.max_attempts = flags.retries;
-  opts.isolate = flags.isolate;
-  opts.jobs = flags.isolate ? flags.jobs : 1;  // inline mode is sequential
-  opts.verbose = flags.report;
+  opts.jobs = flags.jobs;
   opts.progress = flags.progress;
   runner::install_signal_handlers();
   const auto sweep = runner::run_sweep("perfctl-sweep", points, opts);
@@ -360,9 +357,7 @@ int CmdRepairEcon(int argc, char** argv, const Flags& flags) {
   opts.sync_checkpoint = flags.sync;
   opts.timeout_seconds = flags.timeout_seconds;
   opts.retry.max_attempts = flags.retries;
-  opts.isolate = flags.isolate;
-  opts.jobs = flags.isolate ? flags.jobs : 1;  // inline mode is sequential
-  opts.verbose = flags.report;
+  opts.jobs = flags.jobs;
   opts.progress = flags.progress;
   runner::install_signal_handlers();
   const auto sweep = runner::run_sweep("perfctl-repair-econ", points, opts);
@@ -471,7 +466,7 @@ void Usage() {
       "  repair-econ [N nu_p delta mttf mttr T rho cmax smax cc sc]\n"
       "           (c, s) crew/spares trade-off CSV; cc/sc = unit costs\n"
       "flags:\n"
-      "  --report             print solver diagnostics (solve) / progress (sweep)\n"
+      "  --report             solve: print the solver's diagnostics\n"
       "  --inject <scenario>  run a fault-injection scenario (simulate)\n"
       "  --checkpoint <path>  sweep: append completed points to a checkpoint\n"
       "  --resume             sweep: reuse completed points from --checkpoint\n"
@@ -481,7 +476,6 @@ void Usage() {
       "  --timeout <seconds>  sweep: per-point wall-clock budget (0 = none)\n"
       "  --retries <n>        sweep: attempts per point on transient failure\n"
       "  --sim-cycles <n>     sweep: also simulate each point (n cycles)\n"
-      "  --no-isolate         sweep: run points in-process (no fork/timeout)\n"
       "  -j, --jobs <n>       sweep: points in flight at once (default nproc;\n"
       "                       CSV output is identical for every value)\n"
       "  --progress           sweep: live pool status on stderr (plain\n"
@@ -497,8 +491,6 @@ void Usage() {
       "  --threads <n>        linalg pool width for the blocked kernels\n"
       "                       (default $PERFORMA_THREADS, else hardware;\n"
       "                       every value computes identical bits)\n"
-      "  --kernel <name>      dense-kernel backend: blocked (default)\n"
-      "                       or reference ($PERFORMA_KERNEL_BACKEND too)\n"
       "%s",
       sim::scenario_grammar().c_str());
 }
@@ -510,6 +502,14 @@ void Usage() {
   obs::init_trace_from_env();
   obs::init_metrics_from_env();
   std::exit(FinishObservability(1));
+}
+
+// True when `arg` parses completely as a number ("-0.5" is a negative
+// positional argument, not a flag).
+bool IsNumber(const char* arg) {
+  char* end = nullptr;
+  std::strtod(arg, &end);
+  return end != arg && *end == '\0';
 }
 
 // Strips flags out of argv; remaining arguments keep their relative
@@ -549,8 +549,6 @@ Flags StripFlags(int& argc, char** argv) {
       flags.resume = true;
     } else if (std::strcmp(argv[i], "--sync") == 0) {
       flags.sync = true;
-    } else if (std::strcmp(argv[i], "--no-isolate") == 0) {
-      flags.isolate = false;
     } else if (std::strcmp(argv[i], "--progress") == 0) {
       flags.progress = true;
     } else if (std::strcmp(argv[i], "--jobs") == 0 ||
@@ -572,19 +570,6 @@ Flags StripFlags(int& argc, char** argv) {
         std::fprintf(stderr, "perfctl: --threads needs a positive count\n");
         UsageExit();
       }
-    } else if (std::strcmp(argv[i], "--kernel") == 0) {
-      const char* name = value(i, "--kernel");
-      if (std::strcmp(name, "reference") == 0) {
-        linalg::set_kernel_backend(linalg::KernelBackend::kReference);
-      } else if (std::strcmp(name, "blocked") == 0) {
-        linalg::set_kernel_backend(linalg::KernelBackend::kBlocked);
-      } else {
-        std::fprintf(stderr,
-                     "perfctl: --kernel wants 'reference' or 'blocked', "
-                     "got '%s'\n",
-                     name);
-        UsageExit();
-      }
     } else if (std::strcmp(argv[i], "--timeout") == 0) {
       flags.timeout_seconds = std::atof(value(i, "--timeout"));
     } else if (std::strcmp(argv[i], "--retries") == 0) {
@@ -592,6 +577,11 @@ Flags StripFlags(int& argc, char** argv) {
     } else if (std::strcmp(argv[i], "--sim-cycles") == 0) {
       flags.sim_cycles =
           static_cast<std::size_t>(std::atoll(value(i, "--sim-cycles")));
+    } else if (argv[i][0] == '-' && !IsNumber(argv[i])) {
+      // A typo or a retired flag must not be swallowed as a positional
+      // argument (that silently shifts every later one).
+      std::fprintf(stderr, "perfctl: unknown flag '%s'\n", argv[i]);
+      UsageExit();
     } else {
       argv[out++] = argv[i];
     }

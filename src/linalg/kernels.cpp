@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -16,15 +14,7 @@ namespace performa::linalg {
 
 namespace {
 
-std::atomic<int> g_backend{-1};  // -1 = PERFORMA_KERNEL_BACKEND unread
-
-KernelBackend backend_from_env() noexcept {
-  if (const char* env = std::getenv("PERFORMA_KERNEL_BACKEND");
-      env != nullptr && std::strcmp(env, "reference") == 0) {
-    return KernelBackend::kReference;
-  }
-  return KernelBackend::kBlocked;
-}
+std::atomic<KernelBackend> g_backend{KernelBackend::kBlocked};
 
 // ---------------------------------------------------------------------------
 // Reference kernels: the original scratch loops, the executable spec.
@@ -127,16 +117,11 @@ bool mostly_zero(const double* a, std::size_t m, std::size_t kk,
 }  // namespace
 
 KernelBackend kernel_backend() noexcept {
-  int b = g_backend.load(std::memory_order_relaxed);
-  if (b < 0) {
-    b = static_cast<int>(backend_from_env());
-    g_backend.store(b, std::memory_order_relaxed);
-  }
-  return static_cast<KernelBackend>(b);
+  return g_backend.load(std::memory_order_relaxed);
 }
 
 void set_kernel_backend(KernelBackend backend) noexcept {
-  g_backend.store(static_cast<int>(backend), std::memory_order_relaxed);
+  g_backend.store(backend, std::memory_order_relaxed);
 }
 
 const char* to_string(KernelBackend backend) noexcept {

@@ -21,8 +21,8 @@
 // output slice, so results are bit-identical for any PERFORMA_THREADS
 // value. See DESIGN.md section 12.
 //
-// Backend selection: PERFORMA_KERNEL_BACKEND=reference|blocked (read once,
-// default blocked), overridable at runtime with set_kernel_backend().
+// Every run uses kBlocked. kReference stays as the test oracle: the kernel
+// equivalence tests switch to it with set_kernel_backend().
 #pragma once
 
 #include <cstddef>
@@ -34,11 +34,10 @@ enum class KernelBackend {
   kBlocked,    ///< tiled + threaded kernels (default)
 };
 
-/// Active backend. First call reads PERFORMA_KERNEL_BACKEND; unrecognized
-/// values fall back to kBlocked.
+/// Active backend: kBlocked unless a test switched it.
 KernelBackend kernel_backend() noexcept;
 
-/// Override the active backend (tests, benchmarks, perfctl --kernel).
+/// Override the active backend (equivalence tests).
 void set_kernel_backend(KernelBackend backend) noexcept;
 
 const char* to_string(KernelBackend backend) noexcept;

@@ -9,10 +9,10 @@
 //       .kv("workers", config.workers);
 //
 // Cost model mirrors spans: a site below the active level costs one
-// relaxed atomic load and a predictable branch (~1 ns, bench-gated);
-// PERFORMA_OBS_DISABLED compiles every site out entirely. An admitted
-// line is rendered into a local buffer and written with a single
-// write(2), so concurrent writers never interleave mid-line.
+// relaxed atomic load and a predictable branch (~1 ns, recorded once;
+// no benchmark measures it). An admitted line is rendered into a local
+// buffer and written with a single write(2), so concurrent writers
+// never interleave mid-line.
 //
 // Rate limiting is per call site: each PERFORMA_LOG expansion owns a
 // function-local static LogSite holding a token bucket (burst
@@ -49,13 +49,8 @@ extern std::atomic<int> g_log_level;  // minimum admitted level
 /// True when `level` is at or above the active threshold. One relaxed
 /// atomic load: this is the disabled-path cost of a log site.
 inline bool log_enabled(LogLevel level) noexcept {
-#if !defined(PERFORMA_OBS_DISABLED)
   return static_cast<int>(level) >=
          detail::g_log_level.load(std::memory_order_relaxed);
-#else
-  (void)level;
-  return false;
-#endif
 }
 
 /// Set the minimum admitted level (default kInfo).
@@ -133,12 +128,6 @@ LogSite* admit_site(LogLevel level, MakeSite make_site) noexcept {
 /// is a single load+branch, with the LogLine temporary living only in
 /// the admitted branch. Usable anywhere a statement is; the `.kv`
 /// chain hangs off the expression.
-#if defined(PERFORMA_OBS_DISABLED)
-#define PERFORMA_LOG(level, event)                        \
-  if (true) {                                             \
-  } else                                                  \
-    ::performa::obs::LogLine(::performa::obs::LogLevel::level, event, nullptr)
-#else
 #define PERFORMA_LOG(level, event)                                          \
   if (::performa::obs::LogSite* performa_obs_log_site_ =                    \
           ::performa::obs::detail::admit_site(                              \
@@ -150,7 +139,6 @@ LogSite* admit_site(LogLevel level, MakeSite make_site) noexcept {
   } else                                                                    \
     ::performa::obs::LogLine(::performa::obs::LogLevel::level, event,       \
                              performa_obs_log_site_)
-#endif
 
 // ---------------------------------------------------------------------------
 // Query identity: a per-request id minted at daemon admission (or by

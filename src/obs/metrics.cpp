@@ -14,18 +14,13 @@
 namespace performa::obs {
 
 void Gauge::add(double delta) noexcept {
-#if !defined(PERFORMA_OBS_DISABLED)
   double cur = value_.load(std::memory_order_relaxed);
   while (!value_.compare_exchange_weak(cur, cur + delta,
                                        std::memory_order_relaxed)) {
   }
-#else
-  (void)delta;
-#endif
 }
 
 void Histogram::record(double v) noexcept {
-#if !defined(PERFORMA_OBS_DISABLED)
   if (std::isnan(v)) return;
   int bucket = 0;
   if (v > 0.0) {
@@ -49,9 +44,6 @@ void Histogram::record(double v) noexcept {
   while (!sum_.compare_exchange_weak(cur, cur + v,
                                      std::memory_order_relaxed)) {
   }
-#else
-  (void)v;
-#endif
 }
 
 double Histogram::mean() const noexcept {

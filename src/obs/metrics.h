@@ -11,8 +11,7 @@
 // iteration; they accumulate locally and batch-add at a stage boundary
 // (one attempt, one simulation run), so metrics stay on even when
 // tracing is off -- this is what lets `perfctl sweep --progress` show
-// live pool statistics without any flag. Defining PERFORMA_OBS_DISABLED
-// compiles every update path to a true no-op.
+// live pool statistics without any flag.
 //
 // Metrics are per-process: a forked worker inherits a snapshot of the
 // registry and its increments die with it (its spans are merged back
@@ -30,11 +29,7 @@ namespace performa::obs {
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-#if !defined(PERFORMA_OBS_DISABLED)
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -48,11 +43,7 @@ class Counter {
 class Gauge {
  public:
   void set(double v) noexcept {
-#if !defined(PERFORMA_OBS_DISABLED)
     value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
   void add(double delta) noexcept;
   double value() const noexcept {

@@ -6,11 +6,10 @@
 //
 // Cost model: when no sink is installed (the default), PERFORMA_SPAN
 // compiles to a constructor that reads one relaxed atomic and returns
-// -- hot loops pay a single predictable branch. Defining
-// PERFORMA_OBS_DISABLED at compile time removes even that (the macro
-// expands to nothing). When tracing is enabled, span start/finish reads
-// two clocks and appends to a thread-local buffer; serialization
-// happens at flush granularity, off the instrumented path.
+// -- hot loops pay a single predictable branch. When tracing is
+// enabled, span start/finish reads two clocks and appends to a
+// thread-local buffer; serialization happens at flush granularity, off
+// the instrumented path.
 //
 // Fork boundary: a forked worker must not share its parent's sink (two
 // writers would interleave mid-line). obs::ForkHandoff (fork.h) gives
@@ -97,11 +96,7 @@ bool init_trace_from_env();
 class Span {
  public:
   explicit Span(const char* name) noexcept {
-#if !defined(PERFORMA_OBS_DISABLED)
     if (trace_enabled()) start(name);
-#else
-    (void)name;
-#endif
   }
   ~Span() {
     if (armed_) finish();
@@ -131,14 +126,10 @@ class Span {
 
 #define PERFORMA_OBS_CONCAT_(a, b) a##b
 #define PERFORMA_OBS_CONCAT(a, b) PERFORMA_OBS_CONCAT_(a, b)
-#if defined(PERFORMA_OBS_DISABLED)
-#define PERFORMA_SPAN(name)
-#else
 /// Scoped span covering the rest of the enclosing block.
 #define PERFORMA_SPAN(name) \
   ::performa::obs::Span PERFORMA_OBS_CONCAT(performa_obs_span_, \
                                             __LINE__)(name)
-#endif
 
 /// Append `,"key":"escaped value"` to a JSON fragment string (shared
 /// with the metrics serializer; exposed for tests).

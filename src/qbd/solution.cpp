@@ -461,10 +461,13 @@ void QbdSolution::certify(const BoundaryLevels& lv, const SolverOptions& opts) {
       fixed_point_refine(lv);
       ++refinements;
     });
-    // Rung 2: tighter-tolerance re-solve from scratch.
+    // Rung 2: tighter-tolerance re-solve from scratch, never looser than
+    // the default tolerance: a loose caller tolerance scaled by 1e-2 is
+    // still too loose to certify.
     rung("tight-resolve", [&] {
       SolverOptions tight = opts;
-      tight.tolerance = std::max(opts.tolerance * 1e-2, 1e-15);
+      tight.tolerance = std::max(
+          std::min(opts.tolerance * 1e-2, SolverOptions{}.tolerance), 1e-15);
       RSolveResult rs = solve_r(lv.tail, tight);
       r_ = std::move(rs.r);
       r_iterations_ = rs.iterations;

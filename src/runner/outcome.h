@@ -52,7 +52,7 @@ Outcome outcome_from_exit_code(int code) noexcept;
 
 /// Classify an in-flight exception (rethrown from a catch block) and
 /// produce the matching exit code plus a one-line diagnostic. Used by
-/// the worker child before _exit(), and by in-process execution.
+/// the worker child before _exit().
 struct ClassifiedError {
   int exit_code = kExitError;
   Outcome outcome = Outcome::kCrash;

@@ -1,12 +1,9 @@
 #include "runner/retry.h"
 
-#include <time.h>
-
 #include <algorithm>
 #include <cmath>
 
 #include "linalg/errors.h"
-#include "runner/sweep.h"
 #include "sim/random.h"
 
 namespace performa::runner {
@@ -32,19 +29,6 @@ double RetryPolicy::backoff_seconds(unsigned attempt,
   const double u =
       static_cast<double>(z >> 11) * 0x1.0p-53;  // uniform in [0,1)
   return capped * (1.0 - jitter + 2.0 * jitter * u);
-}
-
-void sleep_seconds(double seconds) {
-  if (seconds <= 0.0) return;
-  struct timespec req;
-  req.tv_sec = static_cast<time_t>(seconds);
-  req.tv_nsec =
-      static_cast<long>((seconds - static_cast<double>(req.tv_sec)) * 1e9);
-  struct timespec rem;
-  while (nanosleep(&req, &rem) != 0) {
-    if (sweep_interrupted()) return;  // stop waiting, let the sweep wind down
-    req = rem;
-  }
 }
 
 }  // namespace performa::runner

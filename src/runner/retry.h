@@ -29,8 +29,4 @@ struct RetryPolicy {
   double backoff_seconds(unsigned attempt, std::uint64_t seed) const;
 };
 
-/// Interruptible sleep (nanosleep resumed across EINTR unless the sweep
-/// interrupt flag is raised).
-void sleep_seconds(double seconds);
-
 }  // namespace performa::runner

@@ -188,10 +188,6 @@ SweepResult run_sweep(const std::string& name,
   options.retry.validate();
   PERFORMA_EXPECTS(options.timeout_seconds >= 0.0,
                    "run_sweep: timeout must be >= 0");
-  PERFORMA_EXPECTS(options.isolate || options.timeout_seconds == 0.0,
-                   "run_sweep: timeouts require subprocess isolation");
-  PERFORMA_EXPECTS(options.isolate || options.jobs == 1,
-                   "run_sweep: parallel jobs require subprocess isolation");
   PERFORMA_EXPECTS(options.drain_grace_seconds >= 0.0,
                    "run_sweep: drain grace must be >= 0");
   PERFORMA_EXPECTS(!options.resume || !options.checkpoint_path.empty(),
@@ -223,11 +219,6 @@ SweepResult run_sweep(const std::string& name,
             .kv("sweep", name)
             .kv("dropped",
                 static_cast<std::uint64_t>(prior.dropped_records));
-        if (options.verbose) {
-          std::fprintf(stderr,
-                       "[sweep %s] dropped %zu torn checkpoint record(s)\n",
-                       name.c_str(), prior.dropped_records);
-        }
       }
     }
   }
@@ -246,10 +237,6 @@ SweepResult run_sweep(const std::string& name,
         done[i] = *old;
         done[i]->index = i;
         ++sweep.reused;
-        if (options.verbose) {
-          std::fprintf(stderr, "[sweep %s] %s: reused from checkpoint\n",
-                       name.c_str(), specs[i].id.c_str());
-        }
       }
     }
   }
@@ -270,298 +257,229 @@ SweepResult run_sweep(const std::string& name,
       append_point(options.checkpoint_path, record,
                    options.sync_checkpoint);
     }
-    if (options.verbose) {
-      std::fprintf(stderr, "[sweep %s] %s: %s after %u attempt(s)\n",
-                   name.c_str(), record.id.c_str(),
-                   to_string(record.outcome), record.attempts);
-    }
     progress.point_done(record, elapsed);
     const std::size_t index = record.index;
     done[index] = std::move(record);
   };
 
-  const auto attempt_note = [&](const SweepPointSpec& spec, unsigned attempt,
-                                const WorkerReport& report) {
+  // Worker-pool scheduler: up to `jobs` slots, each owning one point
+  // at a time through its retry state machine. One poll(2) multiplexes
+  // every live worker plus the earliest timeout/backoff/drain deadline.
+  const unsigned jobs = resolve_jobs(options.jobs);
+  std::vector<Slot> slots(
+      std::max<std::size_t>(1, std::min<std::size_t>(jobs, specs.size())));
+  std::size_t next = 0;         // next request index to consider
+  std::size_t outstanding = 0;  // points currently owned by a slot
+  bool draining = false;
+  Clock::time_point drain_deadline{};
+
+  const auto start_attempt = [&](Slot& slot, std::size_t index,
+                                 unsigned attempt) {
+    slot.state = Slot::State::kRunning;
+    slot.index = index;
+    slot.attempt = attempt;
+    slot.timed_out = false;
+    slot.worker = spawn_worker(specs[index].fn);
+    if (attempt == 1) {
+      slot.first_dispatch = slot.worker.started;
+      slot.span = std::make_unique<obs::Span>("runner.point");
+      slot.span->annotate("id", specs[index].id);
+    }
+    slot.has_deadline = options.timeout_seconds > 0.0;
+    if (slot.has_deadline) {
+      slot.deadline =
+          slot.worker.started +
+          std::chrono::duration_cast<Clock::duration>(
+              std::chrono::duration<double>(options.timeout_seconds));
+    }
+  };
+
+  // A worker reached EOF: reap, classify, advance the slot's state
+  // machine (deliver, back off for a retry, or abandon under drain).
+  const auto settle = [&](Slot& slot) {
+    const WorkerReport report =
+        reap_worker(slot.worker, slot.timed_out, options.timeout_seconds);
+    slot.worker = WorkerHandle{};
+    const SweepPointSpec& spec = specs[slot.index];
+
+    if (report.outcome == Outcome::kTimeout) metrics.timeouts.add(1);
+
+    if (report.outcome != Outcome::kOk && draining) {
+      // The worker most likely died from the shared signal or the
+      // drain SIGKILL; recording a bogus crash would poison resume.
+      if (slot.span) {
+        slot.span->annotate("outcome", "abandoned");
+        slot.span.reset();
+      }
+      slot.state = Slot::State::kIdle;
+      --outstanding;
+      return;
+    }
     if (report.outcome != Outcome::kOk) {
       PERFORMA_LOG(kWarn, "sweep.attempt_failed")
           .kv("sweep", name)
           .kv("point", spec.id)
-          .kv("attempt", static_cast<std::uint64_t>(attempt))
+          .kv("attempt", static_cast<std::uint64_t>(slot.attempt))
           .kv("outcome", to_string(report.outcome))
           .kv("error", report.message)
           .kv("elapsed_s", report.elapsed_seconds);
-    }
-    if (options.verbose) {
-      std::fprintf(stderr, "[sweep %s] %s: attempt %u -> %s (%s)\n",
-                   name.c_str(), spec.id.c_str(), attempt,
-                   to_string(report.outcome), report.message.c_str());
-    }
-  };
-
-  if (!options.isolate) {
-    // In-process fallback: sequential by construction (a single address
-    // space cannot run points concurrently *and* contain their crashes).
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (sweep_interrupted()) {
-        sweep.interrupted = true;
-        break;
-      }
-      if (done[i].has_value()) continue;  // reused from the checkpoint
-      const SweepPointSpec& spec = specs[i];
-      const Clock::time_point started = Clock::now();
-      obs::Span point_span("runner.point");
-      point_span.annotate("id", spec.id);
-      metrics.inflight.set(1.0);
-      CheckpointPoint record;
-      record.index = i;
-      record.id = spec.id;
-      for (unsigned attempt = 1;; ++attempt) {
-        const WorkerReport report = run_point_inline(spec.fn);
-        if (sweep_interrupted()) {
-          sweep.interrupted = true;
-          break;
-        }
-        record.outcome = report.outcome;
-        record.attempts = attempt;
-        record.message = report.message;
-        if (report.outcome == Outcome::kOk) {
-          record.metrics = report.result.metrics;
-          record.rng_state = report.result.rng_state;
-          break;
-        }
-        attempt_note(spec, attempt, report);
-        if (!is_transient(report.outcome) ||
-            attempt >= options.retry.max_attempts) {
-          break;  // record the degraded placeholder and move on
-        }
+      if (is_transient(report.outcome) &&
+          slot.attempt < options.retry.max_attempts) {
         metrics.retries.add(1);
         const double backoff = options.retry.backoff_seconds(
-            attempt, sim::derive_seed(options.backoff_seed, i));
-        metrics.retrying.set(1.0);
-        sleep_seconds(backoff);
-        metrics.retrying.set(0.0);
-      }
-      metrics.inflight.set(0.0);
-      if (sweep.interrupted) break;
-      point_span.annotate("outcome", to_string(record.outcome));
-      point_span.annotate("attempts",
-                          static_cast<std::uint64_t>(record.attempts));
-      finalize(std::move(record), seconds_since(started));
-    }
-  } else {
-    // Worker-pool scheduler: up to `jobs` slots, each owning one point
-    // at a time through its retry state machine. One poll(2) multiplexes
-    // every live worker plus the earliest timeout/backoff/drain deadline.
-    const unsigned jobs = resolve_jobs(options.jobs);
-    std::vector<Slot> slots(
-        std::max<std::size_t>(1, std::min<std::size_t>(jobs, specs.size())));
-    std::size_t next = 0;         // next request index to consider
-    std::size_t outstanding = 0;  // points currently owned by a slot
-    bool draining = false;
-    Clock::time_point drain_deadline{};
-
-    const auto start_attempt = [&](Slot& slot, std::size_t index,
-                                   unsigned attempt) {
-      slot.state = Slot::State::kRunning;
-      slot.index = index;
-      slot.attempt = attempt;
-      slot.timed_out = false;
-      slot.worker = spawn_worker(specs[index].fn);
-      if (attempt == 1) {
-        slot.first_dispatch = slot.worker.started;
-        slot.span = std::make_unique<obs::Span>("runner.point");
-        slot.span->annotate("id", specs[index].id);
-      }
-      slot.has_deadline = options.timeout_seconds > 0.0;
-      if (slot.has_deadline) {
+            slot.attempt,
+            sim::derive_seed(options.backoff_seed, slot.index));
+        slot.state = Slot::State::kBackoff;
         slot.deadline =
-            slot.worker.started +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double>(options.timeout_seconds));
-      }
-    };
-
-    // A worker reached EOF: reap, classify, advance the slot's state
-    // machine (deliver, back off for a retry, or abandon under drain).
-    const auto settle = [&](Slot& slot) {
-      const WorkerReport report =
-          reap_worker(slot.worker, slot.timed_out, options.timeout_seconds);
-      slot.worker = WorkerHandle{};
-      const SweepPointSpec& spec = specs[slot.index];
-
-      if (report.outcome == Outcome::kTimeout) metrics.timeouts.add(1);
-
-      if (report.outcome != Outcome::kOk && draining) {
-        // The worker most likely died from the shared signal or the
-        // drain SIGKILL; recording a bogus crash would poison resume.
-        if (slot.span) {
-          slot.span->annotate("outcome", "abandoned");
-          slot.span.reset();
-        }
-        slot.state = Slot::State::kIdle;
-        --outstanding;
+            Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                               std::chrono::duration<double>(backoff));
         return;
       }
-      if (report.outcome != Outcome::kOk) {
-        attempt_note(spec, slot.attempt, report);
-        if (is_transient(report.outcome) &&
-            slot.attempt < options.retry.max_attempts) {
-          metrics.retries.add(1);
-          const double backoff = options.retry.backoff_seconds(
-              slot.attempt,
-              sim::derive_seed(options.backoff_seed, slot.index));
-          slot.state = Slot::State::kBackoff;
-          slot.deadline =
-              Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(backoff));
-          return;
-        }
-      }
-      CheckpointPoint record;
-      record.index = slot.index;
-      record.id = spec.id;
-      record.outcome = report.outcome;
-      record.attempts = slot.attempt;
-      record.message = report.message;
-      if (report.outcome == Outcome::kOk) {
-        record.metrics = report.result.metrics;
-        record.rng_state = report.result.rng_state;
-      }
-      if (slot.span) {
-        slot.span->annotate("outcome", to_string(record.outcome));
-        slot.span->annotate("attempts",
-                            static_cast<std::uint64_t>(record.attempts));
-        slot.span.reset();
-      }
-      finalize(std::move(record), seconds_since(slot.first_dispatch));
-      slot.state = Slot::State::kIdle;
-      --outstanding;
-    };
+    }
+    CheckpointPoint record;
+    record.index = slot.index;
+    record.id = spec.id;
+    record.outcome = report.outcome;
+    record.attempts = slot.attempt;
+    record.message = report.message;
+    if (report.outcome == Outcome::kOk) {
+      record.metrics = report.result.metrics;
+      record.rng_state = report.result.rng_state;
+    }
+    if (slot.span) {
+      slot.span->annotate("outcome", to_string(record.outcome));
+      slot.span->annotate("attempts",
+                          static_cast<std::uint64_t>(record.attempts));
+      slot.span.reset();
+    }
+    finalize(std::move(record), seconds_since(slot.first_dispatch));
+    slot.state = Slot::State::kIdle;
+    --outstanding;
+  };
 
-    while (true) {
-      if (!draining && sweep_interrupted()) {
-        draining = true;
-        sweep.interrupted = true;
-        drain_deadline =
-            Clock::now() +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double>(options.drain_grace_seconds));
-        for (Slot& slot : slots) {
-          // A point waiting out a backoff has no work in flight worth
-          // draining: abandon it, resume will re-run it.
-          if (slot.state == Slot::State::kBackoff) {
-            if (slot.span) {
-              slot.span->annotate("outcome", "abandoned");
-              slot.span.reset();
-            }
-            slot.state = Slot::State::kIdle;
-            --outstanding;
-          }
-        }
-      }
-
-      if (!draining) {
-        for (Slot& slot : slots) {
-          if (slot.state != Slot::State::kIdle) continue;
-          while (next < specs.size() && done[next].has_value()) ++next;
-          if (next >= specs.size()) break;
-          start_attempt(slot, next++, 1);
-          ++outstanding;
-        }
-      }
-
-      // Publish the pool state (read by --progress and perfctl
-      // --metrics) once per scheduler turn, not per transition.
-      {
-        std::size_t running = 0, backing_off = 0;
-        for (const Slot& slot : slots) {
-          if (slot.state == Slot::State::kRunning) ++running;
-          if (slot.state == Slot::State::kBackoff) ++backing_off;
-        }
-        metrics.inflight.set(static_cast<double>(running));
-        metrics.retrying.set(static_cast<double>(backing_off));
-        progress.tick(running, backing_off);
-      }
-      if (outstanding == 0) break;
-
-      // One poll covers every live worker and the earliest deadline
-      // (per-slot timeout, per-slot backoff expiry, drain cutoff).
-      std::vector<struct pollfd> pfds;
-      std::vector<Slot*> pfd_slots;
-      bool have_deadline = draining;
-      Clock::time_point earliest = drain_deadline;
+  while (true) {
+    if (!draining && sweep_interrupted()) {
+      draining = true;
+      sweep.interrupted = true;
+      drain_deadline =
+          Clock::now() +
+          std::chrono::duration_cast<Clock::duration>(
+              std::chrono::duration<double>(options.drain_grace_seconds));
       for (Slot& slot : slots) {
-        if (slot.state == Slot::State::kRunning) {
-          if (!slot.worker.eof) {
-            pfds.push_back({slot.worker.fd, POLLIN, 0});
-            pfd_slots.push_back(&slot);
+        // A point waiting out a backoff has no work in flight worth
+        // draining: abandon it, resume will re-run it.
+        if (slot.state == Slot::State::kBackoff) {
+          if (slot.span) {
+            slot.span->annotate("outcome", "abandoned");
+            slot.span.reset();
           }
-          if (slot.has_deadline && !slot.timed_out &&
-              (!have_deadline || slot.deadline < earliest)) {
-            earliest = slot.deadline;
-            have_deadline = true;
-          }
-        } else if (slot.state == Slot::State::kBackoff) {
-          if (!have_deadline || slot.deadline < earliest) {
-            earliest = slot.deadline;
-            have_deadline = true;
-          }
-        }
-      }
-      int timeout_ms = -1;
-      if (have_deadline) {
-        const double remaining =
-            std::chrono::duration<double>(earliest - Clock::now()).count();
-        timeout_ms =
-            remaining <= 0.0 ? 0 : static_cast<int>(remaining * 1e3) + 1;
-      }
-      const int ready = ::poll(pfds.empty() ? nullptr : pfds.data(),
-                               static_cast<nfds_t>(pfds.size()), timeout_ms);
-      if (ready < 0 && errno != EINTR) {
-        // poll() itself failed (fd exhaustion?): nothing sane to wait
-        // on. Kill what is in flight and stop; the checkpoint holds
-        // every completed point.
-        for (Slot& slot : slots) {
-          if (slot.state == Slot::State::kRunning) {
-            kill_worker(slot.worker);
-            settle(slot);
-          }
-        }
-        sweep.interrupted = true;
-        break;
-      }
-      if (ready > 0) {
-        for (std::size_t p = 0; p < pfds.size(); ++p) {
-          if (pfds[p].revents == 0) continue;
-          Slot& slot = *pfd_slots[p];
-          drain_worker(slot.worker);
-          if (slot.worker.eof) settle(slot);
-        }
-      }
-
-      const Clock::time_point now = Clock::now();
-      for (Slot& slot : slots) {
-        if (slot.state == Slot::State::kRunning && slot.has_deadline &&
-            !slot.timed_out && now >= slot.deadline) {
-          kill_worker(slot.worker);  // EOF arrives promptly; settled above
-          slot.timed_out = true;
-        } else if (slot.state == Slot::State::kBackoff &&
-                   now >= slot.deadline) {
-          start_attempt(slot, slot.index, slot.attempt + 1);
-        }
-      }
-      if (draining && now >= drain_deadline) {
-        for (Slot& slot : slots) {
-          if (slot.state == Slot::State::kRunning) {
-            kill_worker(slot.worker);
-            settle(slot);
-          }
+          slot.state = Slot::State::kIdle;
+          --outstanding;
         }
       }
     }
-    metrics.inflight.set(0.0);
-    metrics.retrying.set(0.0);
+
+    if (!draining) {
+      for (Slot& slot : slots) {
+        if (slot.state != Slot::State::kIdle) continue;
+        while (next < specs.size() && done[next].has_value()) ++next;
+        if (next >= specs.size()) break;
+        start_attempt(slot, next++, 1);
+        ++outstanding;
+      }
+    }
+
+    // Publish the pool state (read by --progress and perfctl
+    // --metrics) once per scheduler turn, not per transition.
+    {
+      std::size_t running = 0, backing_off = 0;
+      for (const Slot& slot : slots) {
+        if (slot.state == Slot::State::kRunning) ++running;
+        if (slot.state == Slot::State::kBackoff) ++backing_off;
+      }
+      metrics.inflight.set(static_cast<double>(running));
+      metrics.retrying.set(static_cast<double>(backing_off));
+      progress.tick(running, backing_off);
+    }
+    if (outstanding == 0) break;
+
+    // One poll covers every live worker and the earliest deadline
+    // (per-slot timeout, per-slot backoff expiry, drain cutoff).
+    std::vector<struct pollfd> pfds;
+    std::vector<Slot*> pfd_slots;
+    bool have_deadline = draining;
+    Clock::time_point earliest = drain_deadline;
+    for (Slot& slot : slots) {
+      if (slot.state == Slot::State::kRunning) {
+        if (!slot.worker.eof) {
+          pfds.push_back({slot.worker.fd, POLLIN, 0});
+          pfd_slots.push_back(&slot);
+        }
+        if (slot.has_deadline && !slot.timed_out &&
+            (!have_deadline || slot.deadline < earliest)) {
+          earliest = slot.deadline;
+          have_deadline = true;
+        }
+      } else if (slot.state == Slot::State::kBackoff) {
+        if (!have_deadline || slot.deadline < earliest) {
+          earliest = slot.deadline;
+          have_deadline = true;
+        }
+      }
+    }
+    int timeout_ms = -1;
+    if (have_deadline) {
+      const double remaining =
+          std::chrono::duration<double>(earliest - Clock::now()).count();
+      timeout_ms =
+          remaining <= 0.0 ? 0 : static_cast<int>(remaining * 1e3) + 1;
+    }
+    const int ready = ::poll(pfds.empty() ? nullptr : pfds.data(),
+                             static_cast<nfds_t>(pfds.size()), timeout_ms);
+    if (ready < 0 && errno != EINTR) {
+      // poll() itself failed (fd exhaustion?): nothing sane to wait
+      // on. Kill what is in flight and stop; the checkpoint holds
+      // every completed point.
+      for (Slot& slot : slots) {
+        if (slot.state == Slot::State::kRunning) {
+          kill_worker(slot.worker);
+          settle(slot);
+        }
+      }
+      sweep.interrupted = true;
+      break;
+    }
+    if (ready > 0) {
+      for (std::size_t p = 0; p < pfds.size(); ++p) {
+        if (pfds[p].revents == 0) continue;
+        Slot& slot = *pfd_slots[p];
+        drain_worker(slot.worker);
+        if (slot.worker.eof) settle(slot);
+      }
+    }
+
+    const Clock::time_point now = Clock::now();
+    for (Slot& slot : slots) {
+      if (slot.state == Slot::State::kRunning && slot.has_deadline &&
+          !slot.timed_out && now >= slot.deadline) {
+        kill_worker(slot.worker);  // EOF arrives promptly; settled above
+        slot.timed_out = true;
+      } else if (slot.state == Slot::State::kBackoff &&
+                 now >= slot.deadline) {
+        start_attempt(slot, slot.index, slot.attempt + 1);
+      }
+    }
+    if (draining && now >= drain_deadline) {
+      for (Slot& slot : slots) {
+        if (slot.state == Slot::State::kRunning) {
+          kill_worker(slot.worker);
+          settle(slot);
+        }
+      }
+    }
   }
+  metrics.inflight.set(0.0);
+  metrics.retrying.set(0.0);
 
   sweep_span.annotate("degraded",
                       static_cast<std::uint64_t>(sweep.degraded));

@@ -53,16 +53,11 @@ struct SweepOptions {
   /// *is* the recovery story, defaults the equivalent flag on.
   bool sync_checkpoint = false;
   /// Per-attempt wall-clock budget for one point; 0 = unlimited.
-  /// Requires isolate (an in-process point cannot be preempted).
   double timeout_seconds = 0.0;
   RetryPolicy retry;
-  /// Run points in forked worker subprocesses (the default). Disable
-  /// only where fork is unavailable; inline points lose timeout
-  /// enforcement, crash containment, and parallelism.
-  bool isolate = true;
   /// Maximum points in flight at once. 1 = sequential (the scheduling
   /// and output of the pre-parallel runner, byte for byte); 0 = one per
-  /// hardware thread. Values > 1 require isolate.
+  /// hardware thread.
   unsigned jobs = 1;
   /// Wind-down grace period: after SIGINT/SIGTERM, in-flight workers
   /// may run this many more seconds (their results are still recorded)
@@ -70,8 +65,6 @@ struct SweepOptions {
   double drain_grace_seconds = 5.0;
   /// Seed for the deterministic retry-backoff jitter.
   std::uint64_t backoff_seed = 0x9e3779b9ULL;
-  /// Progress notes on stderr (one line per point).
-  bool verbose = false;
   /// One compact stderr line per *completed* point (id, outcome,
   /// attempts, seconds), in completion order: long parallel sweeps stay
   /// observable without tailing the checkpoint.

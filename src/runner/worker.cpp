@@ -1,7 +1,6 @@
 #include "runner/worker.h"
 
 #include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -15,7 +14,6 @@
 
 #include "linalg/errors.h"
 #include "obs/trace.h"
-#include "runner/sweep.h"
 
 namespace performa::runner {
 
@@ -142,23 +140,6 @@ bool decode_result(const std::string& payload, PointResult& out) {
   return true;
 }
 
-WorkerReport run_point_inline(const PointFn& fn) {
-  WorkerReport report;
-  const auto start = std::chrono::steady_clock::now();
-  try {
-    report.result = fn();
-    report.outcome = Outcome::kOk;
-  } catch (...) {
-    const ClassifiedError e = classify_current_exception();
-    report.outcome = e.outcome;
-    report.message = e.message;
-  }
-  report.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return report;
-}
-
 WorkerHandle spawn_worker(const PointFn& fn) {
   int fds[2];
   if (::pipe(fds) != 0) {
@@ -252,48 +233,6 @@ WorkerReport reap_worker(WorkerHandle& worker, bool timed_out,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     worker.started)
           .count();
-  return report;
-}
-
-WorkerReport run_point_isolated(const PointFn& fn, double timeout_seconds) {
-  PERFORMA_EXPECTS(timeout_seconds >= 0.0,
-                   "run_point_isolated: timeout must be >= 0");
-  WorkerHandle worker = spawn_worker(fn);
-  bool timed_out = false;
-  bool interrupted = false;
-  while (!worker.eof) {
-    int wait_ms = -1;
-    if (timeout_seconds > 0.0 && !timed_out) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        worker.started)
-              .count();
-      const double remaining = timeout_seconds - elapsed;
-      if (remaining <= 0.0) {
-        kill_worker(worker);
-        timed_out = true;
-        continue;  // drain until EOF so the child can be reaped cleanly
-      }
-      wait_ms = static_cast<int>(remaining * 1e3) + 1;
-    }
-    struct pollfd pfd = {worker.fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, wait_ms);
-    if (ready < 0) {
-      if (errno != EINTR) break;
-      if (sweep_interrupted()) {
-        kill_worker(worker);
-        interrupted = true;
-      }
-      continue;
-    }
-    if (ready == 0) continue;  // deadline re-checked at the loop head
-    drain_worker(worker);
-  }
-  WorkerReport report = reap_worker(worker, timed_out, timeout_seconds);
-  if (interrupted) {
-    report.outcome = Outcome::kCrash;
-    report.message = "worker killed: sweep interrupted";
-  }
   return report;
 }
 

@@ -8,13 +8,10 @@
 // an `ok` sentinel, so a torn write (worker died mid-result) is
 // detectable and classified as a crash rather than parsed as truth.
 //
-// Two layers:
-//   - spawn_worker / drain_worker / reap_worker: non-blocking handle
-//     primitives. The read end of the result pipe is O_NONBLOCK, so one
-//     supervisor can multiplex many live workers with a single poll(2)
-//     -- this is what the parallel sweep scheduler (sweep.h) builds on.
-//   - run_point_isolated: the blocking single-worker convenience built
-//     from the same primitives.
+// spawn_worker / drain_worker / reap_worker are non-blocking handle
+// primitives. The read end of the result pipe is O_NONBLOCK, so one
+// supervisor can multiplex many live workers with a single poll(2) --
+// this is what the sweep scheduler (sweep.h) builds on.
 #pragma once
 
 #include <sys/types.h>
@@ -38,8 +35,8 @@ struct PointResult {
   std::string rng_state;
 };
 
-/// Computes one point. Runs inside the forked worker when isolation is
-/// on, so it must not depend on being able to mutate parent state.
+/// Computes one point. Runs inside the forked worker, so it must not
+/// depend on being able to mutate parent state.
 using PointFn = std::function<PointResult()>;
 
 /// One execution attempt, classified.
@@ -83,17 +80,6 @@ void kill_worker(const WorkerHandle& worker) noexcept;
 /// Invalidates the handle.
 WorkerReport reap_worker(WorkerHandle& worker, bool timed_out,
                          double timeout_seconds);
-
-/// Run `fn` in a forked subprocess with a wall-clock timeout
-/// (0 = unlimited). On timeout the worker is SIGKILLed and the attempt
-/// reports kTimeout. Never throws on worker misbehaviour -- that is the
-/// point -- only on supervisor-side failures (fork/pipe exhaustion).
-WorkerReport run_point_isolated(const PointFn& fn, double timeout_seconds);
-
-/// Run `fn` in-process (no fork, no timeout enforcement): used where
-/// subprocesses are unavailable or undesired. Exceptions are classified
-/// exactly like worker exit codes.
-WorkerReport run_point_inline(const PointFn& fn);
 
 // Result-payload codec shared with the worker child, exposed for tests.
 std::string encode_result(const PointResult& result);

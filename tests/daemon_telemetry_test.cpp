@@ -214,7 +214,6 @@ TEST(DaemonTelemetryTest, MetricsEndpointSpeaksPrometheusText) {
   EXPECT_EQ(nope.rfind("HTTP/1.0 404 Not Found\r\n", 0), 0u) << nope;
 }
 
-#if !defined(PERFORMA_OBS_DISABLED)
 TEST(DaemonTelemetryTest, SlowQueryLogJoinsWireReplyByQid) {
   TempDir tmp;
   DaemonConfig config = base_config(tmp);
@@ -280,7 +279,6 @@ TEST(DaemonTelemetryTest, SlowQueryThresholdDisabledLogsNothing) {
   obs::reset_log_for_test();
   EXPECT_EQ(read_file(log_path).find("daemon.slow_query"), std::string::npos);
 }
-#endif  // !PERFORMA_OBS_DISABLED
 
 }  // namespace
 }  // namespace performa::daemon

@@ -207,7 +207,6 @@ TEST_F(TelemetryTest, ExpositionHistogramIsCumulativeWithHonestInf) {
 
 // ---------------------------------------------------------------------- log
 
-#if !defined(PERFORMA_OBS_DISABLED)
 TEST_F(TelemetryTest, LogLinesAreStructuredNdjson) {
   const std::string path = temp_path("tel_log_shape");
   set_log_file(path);
@@ -372,7 +371,6 @@ TEST_F(TelemetryTest, OversizedFlightRecordIsTruncatedNotCorrupting) {
   disable_flight(/*keep_file=*/false);
 }
 
-#if !defined(PERFORMA_OBS_DISABLED)
 TEST_F(TelemetryTest, OversizedLogLineFallsBackToParseableFlightHeader) {
   const std::string prefix = temp_path("tel_flight_biglog");
   ASSERT_TRUE(init_flight(prefix));
@@ -398,7 +396,6 @@ TEST_F(TelemetryTest, OversizedLogLineFallsBackToParseableFlightHeader) {
   EXPECT_TRUE(found);
   disable_flight(/*keep_file=*/false);
 }
-#endif  // !PERFORMA_OBS_DISABLED
 
 TEST_F(TelemetryTest, CrashedChildLeavesFlightFileWithMarkerAndQid) {
   const std::string prefix = temp_path("tel_flight_crash");
@@ -438,7 +435,6 @@ TEST_F(TelemetryTest, CrashedChildLeavesFlightFileWithMarkerAndQid) {
   EXPECT_TRUE(crash);
   EXPECT_TRUE(work);
 }
-#endif  // !PERFORMA_OBS_DISABLED
 
 }  // namespace
 }  // namespace performa::obs

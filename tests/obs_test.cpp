@@ -95,10 +95,6 @@ TEST_F(ObsTest, SpanInertWhenDisabled) {
   EXPECT_TRUE(drain_memory_trace().empty());
 }
 
-// Everything below exercises *enabled* recording, which the
-// -DPERFORMA_OBS=OFF build compiles to no-ops by design -- only the
-// inert-path and mechanical-file-work tests run there.
-#if !defined(PERFORMA_OBS_DISABLED)
 TEST_F(ObsTest, SpansNestAndBalance) {
   enable_trace_memory();
   {
@@ -186,7 +182,6 @@ TEST_F(ObsTest, FileSinkWritesParsableTraceEventLines) {
   }
   EXPECT_EQ(records, 1u);
 }
-#endif  // !PERFORMA_OBS_DISABLED
 
 TEST_F(ObsTest, MergeFragmentKeepsCompleteRecordsDropsTornTail) {
   const std::string trace = temp_path("obs_frag");
@@ -217,7 +212,6 @@ TEST_F(ObsTest, MergeFragmentKeepsCompleteRecordsDropsTornTail) {
   std::remove(trace.c_str());
 }
 
-#if !defined(PERFORMA_OBS_DISABLED)
 TEST_F(ObsTest, CountersAreRaceFreeAcrossThreads) {
   Counter& hits = counter("test.race.hits");
   Histogram& lat = histogram("test.race.latency");
@@ -258,16 +252,14 @@ TEST_F(ObsTest, GaugeAndHistogramQuantiles) {
   EXPECT_GE(h.quantile(0.99), 10.0);
   EXPECT_LE(h.quantile(0.99), 16.0);
 }
-#endif  // !PERFORMA_OBS_DISABLED
 
-// Registration-time kind checking happens in both build modes.
+// Registration-time kind checking.
 TEST_F(ObsTest, RegistryRejectsKindMismatch) {
   counter("test.kind");
   EXPECT_THROW(gauge("test.kind"), std::runtime_error);
   EXPECT_THROW(histogram("test.kind"), std::runtime_error);
 }
 
-#if !defined(PERFORMA_OBS_DISABLED)
 TEST_F(ObsTest, SnapshotFindsAndSerializes) {
   counter("test.snap.counter").add(3);
   gauge("test.snap.gauge").set(1.25);
@@ -340,15 +332,6 @@ TEST_F(ObsTest, ReopenInChildDiscardsInheritedSpans) {
   EXPECT_NE(text.find("\"pid\":" + std::to_string(child)), std::string::npos)
       << text;
 }
-#endif  // !PERFORMA_OBS_DISABLED
-
-#if defined(PERFORMA_OBS_DISABLED)
-TEST_F(ObsTest, DisabledBuildCompilesSpansToNothing) {
-  counter("test.disabled").add(5);
-  EXPECT_EQ(counter("test.disabled").value(), 0u);  // add is a no-op
-  PERFORMA_SPAN("vanishes");
-}
-#endif
 
 }  // namespace
 }  // namespace performa::obs

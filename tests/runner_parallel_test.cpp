@@ -133,11 +133,6 @@ void ExpectBitIdentical(const SweepResult& a, const SweepResult& b) {
 TEST(ParallelSweep, ValidatesJobsOptions) {
   std::vector<SweepPointSpec> pts;
   pts.push_back({"p0", []() { return PointResult{}; }});
-  SweepOptions parallel_inline;
-  parallel_inline.isolate = false;
-  parallel_inline.jobs = 4;
-  EXPECT_THROW(run_sweep("s", pts, parallel_inline), InvalidArgument);
-
   SweepOptions bad_grace;
   bad_grace.drain_grace_seconds = -1.0;
   EXPECT_THROW(run_sweep("s", pts, bad_grace), InvalidArgument);

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -313,74 +314,69 @@ TEST(Worker, ResultCodecRoundTrips) {
   EXPECT_FALSE(decode_result("metric a 0x1.8p+0\n", out));
 }
 
+// One point through the supervised runner with no retries: the
+// classification of a single forked attempt.
+CheckpointPoint RunOnce(PointFn fn, double timeout_seconds = 0.0) {
+  SweepOptions opts;
+  opts.retry.max_attempts = 1;
+  opts.timeout_seconds = timeout_seconds;
+  const auto sweep = run_sweep("worker", {{"p", std::move(fn)}}, opts);
+  EXPECT_EQ(sweep.points.size(), 1u);
+  return sweep.points.at(0);
+}
+
 TEST(Worker, DeliversResultFromSubprocess) {
-  const auto report = run_point_isolated(
-      []() {
-        PointResult r;
-        r.metrics = {{"answer", 42.0e-3}};
-        r.rng_state = "rng here";
-        return r;
-      },
-      0.0);
-  ASSERT_EQ(report.outcome, Outcome::kOk);
-  ASSERT_EQ(report.result.metrics.size(), 1u);
-  EXPECT_TRUE(BitEqual(report.result.metrics[0].second, 42.0e-3));
-  EXPECT_EQ(report.result.rng_state, "rng here");
-  EXPECT_GE(report.elapsed_seconds, 0.0);
+  const auto point = RunOnce([]() {
+    PointResult r;
+    r.metrics = {{"answer", 42.0e-3}};
+    r.rng_state = "rng here";
+    return r;
+  });
+  ASSERT_EQ(point.outcome, Outcome::kOk);
+  ASSERT_EQ(point.metrics.size(), 1u);
+  EXPECT_TRUE(BitEqual(point.metrics[0].second, 42.0e-3));
+  EXPECT_EQ(point.rng_state, "rng here");
 }
 
 TEST(Worker, SigkillsHungPointAtTimeout) {
-  const auto report = run_point_isolated(
+  const auto start = std::chrono::steady_clock::now();
+  const auto point = RunOnce(
       []() {
         std::this_thread::sleep_for(std::chrono::seconds(30));
         return PointResult{};
       },
       0.2);
-  EXPECT_EQ(report.outcome, Outcome::kTimeout);
-  EXPECT_LT(report.elapsed_seconds, 10.0);
+  EXPECT_EQ(point.outcome, Outcome::kTimeout);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            10.0);
 }
 
 TEST(Worker, ClassifiesCrash) {
-  const auto report = run_point_isolated(
-      []() -> PointResult { std::abort(); }, 0.0);
-  EXPECT_EQ(report.outcome, Outcome::kCrash);
-  EXPECT_FALSE(report.message.empty());
+  const auto abort = RunOnce([]() -> PointResult { std::abort(); });
+  EXPECT_EQ(abort.outcome, Outcome::kCrash);
+  EXPECT_FALSE(abort.message.empty());
+
+  // An unclassified exception is a crash that keeps its message.
+  const auto boom = RunOnce(
+      []() -> PointResult { throw std::runtime_error("boom"); });
+  EXPECT_EQ(boom.outcome, Outcome::kCrash);
+  EXPECT_EQ(boom.message, "boom");
 }
 
 TEST(Worker, ClassifiesSolverFailure) {
-  const auto report = run_point_isolated(
-      []() -> PointResult {
-        throw qbd::SolverFailure("no convergence", qbd::SolveReport{});
-      },
-      0.0);
-  EXPECT_EQ(report.outcome, Outcome::kSolverFailure);
-  EXPECT_FALSE(report.message.empty());
+  const auto point = RunOnce([]() -> PointResult {
+    throw qbd::SolverFailure("no convergence", qbd::SolveReport{});
+  });
+  EXPECT_EQ(point.outcome, Outcome::kSolverFailure);
+  EXPECT_FALSE(point.message.empty());
 }
 
 TEST(Worker, ClassifiesUnstableModel) {
-  const auto report = run_point_isolated(
-      []() -> PointResult { throw qbd::UnstableModel("rho >= 1", 1.07); },
-      0.0);
-  EXPECT_EQ(report.outcome, Outcome::kUnstableModel);
-}
-
-TEST(Worker, InlineExecutionClassifiesLikeSubprocess) {
-  auto ok = run_point_inline([]() {
-    PointResult r;
-    r.metrics = {{"v", 7.0}};
-    return r;
-  });
-  EXPECT_EQ(ok.outcome, Outcome::kOk);
-  EXPECT_TRUE(BitEqual(ok.result.metrics.at(0).second, 7.0));
-
-  auto unstable = run_point_inline(
-      []() -> PointResult { throw qbd::UnstableModel("rho >= 1", 1.2); });
-  EXPECT_EQ(unstable.outcome, Outcome::kUnstableModel);
-
-  auto crash = run_point_inline(
-      []() -> PointResult { throw std::runtime_error("boom"); });
-  EXPECT_EQ(crash.outcome, Outcome::kCrash);
-  EXPECT_EQ(crash.message, "boom");
+  const auto point = RunOnce(
+      []() -> PointResult { throw qbd::UnstableModel("rho >= 1", 1.07); });
+  EXPECT_EQ(point.outcome, Outcome::kUnstableModel);
 }
 
 // --- run_sweep supervision --------------------------------------------
@@ -400,11 +396,6 @@ TEST(SweepRunner, ValidatesOptions) {
   SweepOptions resume_without_path;
   resume_without_path.resume = true;
   EXPECT_THROW(run_sweep("s", pts, resume_without_path), InvalidArgument);
-
-  SweepOptions timeout_inline;
-  timeout_inline.isolate = false;
-  timeout_inline.timeout_seconds = 1.0;
-  EXPECT_THROW(run_sweep("s", pts, timeout_inline), InvalidArgument);
 
   pts.push_back({"p0", []() { return PointResult{}; }});  // duplicate id
   EXPECT_THROW(run_sweep("s", pts, SweepOptions{}), InvalidArgument);
