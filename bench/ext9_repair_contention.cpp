@@ -10,10 +10,11 @@
 // repair queue from the service process until the pool drains.
 //
 // Every (c, s) point is one supervised runner point, so the grid is
-// checkpointable, resumable, and golden-comparable: CI byte-diffs this
-// CSV against bench/golden/ext9_repair_contention.csv with
-// PERFORMA_THREADS pinned (the numbers are bit-identical for any thread
-// count and --jobs value; pinning only fixes the banner).
+// checkpointable, resumable, and golden-comparable: ctest (golden.ext9)
+// and CI compare this CSV with bench/golden/ext9_repair_contention.csv
+// after dropping the "# kernel:" banner line, the one line that records
+// the pool width (the numbers are bit-identical for any thread count and
+// --jobs value).
 #include <cmath>
 #include <cstdio>
 #include <utility>

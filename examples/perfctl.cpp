@@ -143,12 +143,11 @@ int CmdBlowup(int argc, char** argv) {
 // --trust-floor X: clamp every verification threshold (certified and
 // rejected alike) to X. X=0 rejects any answer with a measurable defect
 // -- the supported way to force the TrustRejected exit path (used by the
-// CI drill asserting telemetry sinks flush on exit 4).
-qbd::SolverOptions SolveOptions(const Flags& flags) {
-  qbd::SolverOptions opts;
+// CI drill asserting telemetry sinks flush on exit 4). The healing ladder
+// still runs first; it cannot beat a zero floor.
+qbd::TrustPolicy SolvePolicy(const Flags& flags) {
+  qbd::TrustPolicy t;
   if (flags.trust_floor >= 0.0) {
-    qbd::TrustPolicy& t = opts.trust;
-    t.escalate = false;  // fail fast; healing cannot beat a zero floor
     t.r_residual_certified = t.r_residual_rejected = flags.trust_floor;
     t.boundary_residual_certified = t.boundary_residual_rejected =
         flags.trust_floor;
@@ -157,7 +156,7 @@ qbd::SolverOptions SolveOptions(const Flags& flags) {
         flags.trust_floor;
     t.forward_error_certified = t.forward_error_rejected = flags.trust_floor;
   }
-  return opts;
+  return t;
 }
 
 int CmdSolve(int argc, char** argv, const Flags& flags) {
@@ -167,8 +166,7 @@ int CmdSolve(int argc, char** argv, const Flags& flags) {
                             Arg(argc, argv, 8, 10));
   const double rho = Arg(argc, argv, 7, 0.7);
   const core::ClusterModel model(p);
-  const auto sol = model.solve(model.lambda_for_rho(rho),
-                               SolveOptions(flags));
+  const auto sol = model.solve(model.lambda_for_rho(rho), SolvePolicy(flags));
   const double nu_bar = model.mean_service_rate();
 
   std::printf("availability      %.4f\n", model.availability());

@@ -38,21 +38,18 @@ BlowupParams ClusterModel::blowup_params() const {
 }
 
 qbd::QbdSolution ClusterModel::solve(double lambda,
-                                     const qbd::SolverOptions& opts) const {
-  return qbd::QbdSolution(qbd::m_mmpp_1(aggregate_.mmpp(), lambda), opts);
+                                     const qbd::TrustPolicy& policy) const {
+  return qbd::QbdSolution(qbd::m_mmpp_1(aggregate_.mmpp(), lambda), policy);
 }
 
 qbd::LevelDependentSolution ClusterModel::solve_load_dependent(
-    double lambda, const qbd::SolverOptions& opts) const {
-  return qbd::LevelDependentSolution(
-      qbd::cluster_level_dependent_blocks(aggregate_, params_.nu_p,
-                                          params_.delta, lambda),
-      opts);
+    double lambda) const {
+  return qbd::LevelDependentSolution(qbd::cluster_level_dependent_blocks(
+      aggregate_, params_.nu_p, params_.delta, lambda));
 }
 
-double ClusterModel::normalized_mean_queue_length(
-    double rho, const qbd::SolverOptions& opts) const {
-  const double mql = solve(lambda_for_rho(rho), opts).mean_queue_length();
+double ClusterModel::normalized_mean_queue_length(double rho) const {
+  const double mql = solve(lambda_for_rho(rho)).mean_queue_length();
   return mql / mm1::mean_queue_length(rho);
 }
 

@@ -56,20 +56,19 @@ class ClusterModel {
   BlowupParams blowup_params() const;
 
   /// Exact stationary solution of the load-independent M/MMPP/1 model.
-  /// Throws NumericalError if lambda >= nu_bar (unstable).
+  /// Throws NumericalError if lambda >= nu_bar (unstable); `policy` sets
+  /// the verification thresholds (qbd/trust.h).
   qbd::QbdSolution solve(double lambda,
-                         const qbd::SolverOptions& opts = {}) const;
+                         const qbd::TrustPolicy& policy = {}) const;
 
   /// Level-dependent extension: service capacity limited by the number of
   /// tasks present (Sec. 2.4); the load-independent model is an upper
   /// bound on service (hence a lower bound on queue length).
-  qbd::LevelDependentSolution solve_load_dependent(
-      double lambda, const qbd::SolverOptions& opts = {}) const;
+  qbd::LevelDependentSolution solve_load_dependent(double lambda) const;
 
   /// Mean queue length at utilization rho divided by the M/M/1 value
   /// rho/(1-rho) -- the y-axis of Figs. 1, 4, 5.
-  double normalized_mean_queue_length(
-      double rho, const qbd::SolverOptions& opts = {}) const;
+  double normalized_mean_queue_length(double rho) const;
 
  private:
   ClusterParams params_;

@@ -38,16 +38,15 @@ double NBurstModel::mu_for_rho(double rho) const {
   return mean_arrival_rate() / rho;
 }
 
-qbd::QbdSolution NBurstModel::solve(double mu,
-                                    const qbd::SolverOptions& opts) const {
+qbd::QbdSolution NBurstModel::solve(double mu) const {
   if (params_.background_rate == 0.0) {
-    return qbd::QbdSolution(qbd::mmpp_m_1(aggregate_.mmpp(), mu), opts);
+    return qbd::QbdSolution(qbd::mmpp_m_1(aggregate_.mmpp(), mu));
   }
   // Shift every modulated rate by the background Poisson stream.
   linalg::Vector rates = aggregate_.mmpp().rates();
   for (double& r : rates) r += params_.background_rate;
   const map::Mmpp with_bg(aggregate_.mmpp().generator(), rates);
-  return qbd::QbdSolution(qbd::mmpp_m_1(with_bg, mu), opts);
+  return qbd::QbdSolution(qbd::mmpp_m_1(with_bg, mu));
 }
 
 }  // namespace performa::core

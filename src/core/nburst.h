@@ -53,8 +53,7 @@ class NBurstModel {
   const map::Mmpp& arrivals() const noexcept { return aggregate_.mmpp(); }
 
   /// Stationary solution of the MMPP/M/1 queue with service rate mu.
-  qbd::QbdSolution solve(double mu,
-                         const qbd::SolverOptions& opts = {}) const;
+  qbd::QbdSolution solve(double mu) const;
 
  private:
   NBurstParams params_;

@@ -270,11 +270,6 @@ void JsonWriter::field(const std::string& k, bool value) {
   out_ += value ? "true" : "false";
 }
 
-void JsonWriter::field_null(const std::string& k) {
-  key(k);
-  out_ += "null";
-}
-
 void JsonWriter::field_array(const std::string& k,
                              const std::vector<double>& values) {
   key(k);

@@ -70,7 +70,6 @@ class JsonWriter {
   void field(const std::string& key, double value);
   void field(const std::string& key, std::uint64_t value);
   void field(const std::string& key, bool value);
-  void field_null(const std::string& key);
   void field_array(const std::string& key, const std::vector<double>& values);
 
   /// Finish and return `{...}` (no trailing newline).

@@ -576,9 +576,7 @@ CachedSolution QueryEngine::solve_and_store(const ModelSpec& spec,
   const double t0 = now_seconds();
   const core::ClusterModel model(cluster_params(spec));
   const double lambda = model.lambda_for_rho(spec.rho);
-  qbd::SolverOptions opts;
-  opts.trust = config_.trust;
-  qbd::QbdSolution solution = model.solve(lambda, opts);
+  qbd::QbdSolution solution = model.solve(lambda, config_.trust);
   solve_latency().record(now_seconds() - t0);
 
   CachedSolution entry;

@@ -56,11 +56,4 @@ bool deadline_expired() noexcept {
   return t_current != nullptr && t_current->expired();
 }
 
-double deadline_remaining_seconds() noexcept {
-  return t_current == nullptr ? std::numeric_limits<double>::infinity()
-                              : t_current->remaining_seconds();
-}
-
-const Deadline* current_deadline() noexcept { return t_current; }
-
 }  // namespace performa::obs

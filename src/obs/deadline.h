@@ -91,12 +91,4 @@ class DeadlineScope {
 /// has expired or been cancelled. The poll the solver loops call.
 bool deadline_expired() noexcept;
 
-/// Remaining budget of the calling thread's installed deadline;
-/// +infinity when no scope is installed or the scope is unlimited.
-double deadline_remaining_seconds() noexcept;
-
-/// The calling thread's installed deadline, or nullptr outside any
-/// scope (exposed so layers can hand the token across threads).
-const Deadline* current_deadline() noexcept;
-
 }  // namespace performa::obs

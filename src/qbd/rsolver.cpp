@@ -19,21 +19,16 @@ namespace performa::qbd {
 
 namespace {
 
-// The one R attempt: the candidate R (meaningful only when the attempt
-// converged), its bookkeeping record, and the condition estimate of the
-// attempt's final linear solve.
-struct Candidate {
-  Matrix r;
-  SolveAttempt attempt;
-  double condition = 0.0;
-  // The attempt was cut off by the thread's cooperative deadline, not by
-  // a numerical failure: solve_r surfaces DeadlineExceeded.
-  bool deadline_expired = false;
-};
+// Tolerance of the healing ladder's tight re-solve (solve_r_tight).
+constexpr double kTightRTolerance = 1e-15;
+
+// Doubling cap of logarithmic reduction: quadratic convergence covers any
+// double-precision-representable time scale in 64 doublings.
+constexpr unsigned kMaxDoublings = 64;
 
 // Logarithmic reduction for G; never throws on non-convergence (the
 // caller decides whether that is fatal).
-GSolveResult logred_impl(const QbdBlocks& b, double tol, unsigned budget) {
+GSolveResult logred_impl(const QbdBlocks& b, double tol) {
   const std::size_t m = b.phase_dim();
   const Matrix eye = Matrix::identity(m);
   const linalg::Lu neg_a1(-1.0 * b.a1);
@@ -46,15 +41,13 @@ GSolveResult logred_impl(const QbdBlocks& b, double tol, unsigned budget) {
   Matrix t = h;
 
   const Vector e = linalg::ones(m);
-  // Quadratic convergence: ~log2 of the effective time horizon; 64
-  // doublings cover any double-precision-representable scale, but allow
-  // the caller's cap to bind first. The defect |1 - G e| bottoms out at a
-  // model-dependent roundoff floor that can sit above a very tight
-  // tolerance, so stagnation at a small defect is also accepted.
-  const unsigned cap = std::min<unsigned>(budget, 64);
+  // Quadratic convergence: ~log2 of the effective time horizon, capped at
+  // kMaxDoublings. The defect |1 - G e| bottoms out at a model-dependent
+  // roundoff floor that can sit above a very tight tolerance, so
+  // stagnation at a small defect is also accepted.
   double best_defect = std::numeric_limits<double>::infinity();
   unsigned stagnant = 0;
-  for (unsigned it = 1; it <= cap; ++it) {
+  for (unsigned it = 1; it <= kMaxDoublings; ++it) {
     if (obs::deadline_expired()) {
       out.defect = best_defect;
       out.deadline_expired = true;
@@ -100,82 +93,11 @@ GSolveResult logred_impl(const QbdBlocks& b, double tol, unsigned budget) {
   return out;
 }
 
-Candidate attempt_logred(const QbdBlocks& b, double tol, unsigned budget) {
-  Candidate c;
-  c.attempt.algorithm = SolveAlgorithm::kLogarithmicReduction;
-
-  const GSolveResult g = logred_impl(b, tol, budget);
-  c.attempt.iterations = g.iterations;
-  if (g.deadline_expired) {
-    c.attempt.defect = g.defect;
-    c.attempt.note = "aborted: deadline expired";
-    c.deadline_expired = true;
-    return c;
-  }
-  if (!g.converged) {
-    c.attempt.defect = g.defect;
-    char note[96];
-    std::snprintf(note, sizeof note,
-                  "G defect stagnated at %.3e (tolerance %.1e)", g.defect,
-                  tol);
-    c.attempt.note = note;
-    return c;
-  }
-  // R = A0 * (-(A1 + A0 G))^{-1}
-  // Stability was established via the drift condition before this attempt
-  // ran; sp(R) < 1 is then guaranteed analytically (power-iteration
-  // estimates of it can overshoot 1 by rounding when the decay rate is
-  // extremely close to 1, e.g. TPT repair at rho ~ 0.95, so it must not
-  // be used as a gate here).
-  const linalg::Lu shifted(-1.0 * (b.a1 + b.a0 * g.g));
-  c.condition = shifted.condition_estimate();
-  Matrix r = shifted.solve_left(b.a0);
-  if (!linalg::is_finite(r)) {
-    c.attempt.defect = g.defect;
-    c.attempt.note = "R recovery from G produced a non-finite matrix";
-    return c;
-  }
-  c.attempt.defect = r_residual_norm(b, r);
-  c.attempt.converged = true;
-  c.r = std::move(r);
-  return c;
-}
-
-// attempt_logred, timed and traced. The duration is measured here (not
-// derived from the span) so SolveReport::summary() carries wall times
-// even when tracing is off; the span mirrors the same interval into the
-// trace.
-Candidate run_logred(const QbdBlocks& b, const SolverOptions& opts) {
-  obs::Span span("qbd.rsolver.logred");
-  const auto started = std::chrono::steady_clock::now();
-  Candidate c;
-  try {
-    c = attempt_logred(b, opts.tolerance, opts.max_iterations);
-  } catch (const DeadlineError& e) {
-    // An inner kernel (LU) hit the deadline first; same abort path as
-    // the doubling loop noticing it itself.
-    c.attempt.note = e.what();
-    c.deadline_expired = true;
-  } catch (const NumericalError& e) {
-    c.attempt.note = e.what();
-  }
-  c.attempt.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
-  static obs::Counter& iterations = obs::counter("qbd.rsolver.iterations");
-  iterations.add(c.attempt.iterations);
-  span.annotate("iterations", static_cast<std::uint64_t>(c.attempt.iterations));
-  span.annotate("converged", c.attempt.converged ? 1.0 : 0.0);
-  return c;
-}
-
 // Fill the report of a converged attempt and hand out its R.
 RSolveResult accept(const QbdBlocks& b, Matrix r, double condition,
                     SolveReport report) {
   const SolveAttempt& a = report.attempts.back();
   report.converged = true;
-  report.winner = a.algorithm;
   report.iterations = a.iterations;
   report.final_defect = a.defect;
   report.final_defect_raw = a.defect * residual_scale(b);
@@ -188,42 +110,9 @@ RSolveResult accept(const QbdBlocks& b, Matrix r, double condition,
   return out;
 }
 
-}  // namespace
-
-// Scale that makes the R-residual dimensionless: a backward-stable
-// iterate satisfies ||A0 + R A1 + R^2 A2|| <~ eps * sum_i ||Ai||, so
-// dividing by the block norms gives a defect comparable across rate
-// magnitudes (a model with rates in 1e6/s must not look 6 orders worse
-// than the same model in 1/s).
-double residual_scale(const QbdBlocks& b) noexcept {
-  const double s =
-      linalg::norm_inf(b.a0) + linalg::norm_inf(b.a1) + linalg::norm_inf(b.a2);
-  return s > 0.0 ? s : 1.0;
-}
-
-double r_residual_norm(const QbdBlocks& b, const Matrix& r) {
-  return linalg::norm_inf(b.a0 + r * b.a1 + r * r * b.a2) / residual_scale(b);
-}
-
-GSolveResult solve_g_logred(const QbdBlocks& b, const SolverOptions& opts) {
-  GSolveResult g = logred_impl(b, opts.tolerance, opts.max_iterations);
-  if (g.deadline_expired) {
-    throw DeadlineError(
-        "solve_g_logred: deadline expired mid-iteration (cooperative abort)");
-  }
-  if (!g.converged) {
-    char msg[256];
-    std::snprintf(msg, sizeof msg,
-                  "solve_g_logred: logarithmic reduction did not converge "
-                  "(achieved defect %.3e after %u doublings); the QBD is "
-                  "likely not positive recurrent (utilization >= 1)",
-                  g.defect, g.iterations);
-    throw NumericalError(msg);
-  }
-  return g;
-}
-
-RSolveResult solve_r(const QbdBlocks& blocks, const SolverOptions& opts) {
+// solve_r at tolerance `tol`: the stability pre-check, then the one
+// logarithmic-reduction attempt, recorded in the report.
+RSolveResult solve_r_at(const QbdBlocks& blocks, double tol) {
   obs::Span span("qbd.rsolver.solve");
   static obs::Counter& solves = obs::counter("qbd.rsolver.solves");
   static obs::Counter& failures = obs::counter("qbd.rsolver.failures");
@@ -256,32 +145,135 @@ RSolveResult solve_r(const QbdBlocks& blocks, const SolverOptions& opts) {
     throw UnstableModel(msg, report.utilization);
   }
 
-  Candidate c = run_logred(blocks, opts);
-  report.attempts.push_back(c.attempt);
-  if (c.deadline_expired) {
+  // The attempt is timed here (not derived from the span) so summary()
+  // carries wall times even when tracing is off; the span mirrors the same
+  // interval into the trace.
+  SolveAttempt attempt;  // algorithm: logarithmic reduction (the default)
+  Matrix r;
+  double condition = 0.0;
+  // Cut off by the thread's cooperative deadline, not by a numerical
+  // failure: surfaces as DeadlineExceeded.
+  bool deadline_expired = false;
+  {
+    obs::Span logred_span("qbd.rsolver.logred");
+    const auto started = std::chrono::steady_clock::now();
+    try {
+      const GSolveResult g = logred_impl(blocks, tol);
+      attempt.iterations = g.iterations;
+      attempt.defect = g.defect;
+      if (g.deadline_expired) {
+        attempt.note = "aborted: deadline expired";
+        deadline_expired = true;
+      } else if (!g.converged) {
+        char note[96];
+        std::snprintf(note, sizeof note,
+                      "G defect stagnated at %.3e (tolerance %.1e)", g.defect,
+                      tol);
+        attempt.note = note;
+      } else {
+        // R = A0 * (-(A1 + A0 G))^{-1}
+        // Stability was established via the drift condition above; sp(R)
+        // < 1 is then guaranteed analytically (power-iteration estimates
+        // of it can overshoot 1 by rounding when the decay rate is
+        // extremely close to 1, e.g. TPT repair at rho ~ 0.95, so it must
+        // not be used as a gate here).
+        const linalg::Lu shifted(-1.0 * (blocks.a1 + blocks.a0 * g.g));
+        condition = shifted.condition_estimate();
+        r = shifted.solve_left(blocks.a0);
+        if (!linalg::is_finite(r)) {
+          attempt.note = "R recovery from G produced a non-finite matrix";
+        } else {
+          attempt.defect = r_residual_norm(blocks, r);
+          attempt.converged = true;
+        }
+      }
+    } catch (const DeadlineError& e) {
+      // An inner kernel (LU) hit the deadline first; same abort path as
+      // the doubling loop noticing it itself.
+      attempt.note = e.what();
+      deadline_expired = true;
+    } catch (const NumericalError& e) {
+      attempt.note = e.what();
+    }
+    attempt.seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      started)
+            .count();
+    static obs::Counter& iterations = obs::counter("qbd.rsolver.iterations");
+    iterations.add(attempt.iterations);
+    logred_span.annotate("iterations",
+                         static_cast<std::uint64_t>(attempt.iterations));
+    logred_span.annotate("converged", attempt.converged ? 1.0 : 0.0);
+  }
+
+  report.attempts.push_back(attempt);
+  if (deadline_expired) {
     throw DeadlineExceeded(
         "solve_r: deadline expired mid-solve (cooperative abort)",
         std::move(report));
   }
-  if (!c.attempt.converged) {
+  if (!attempt.converged) {
     failures.add();
     throw SolverFailure("solve_r: logarithmic reduction failed",
                         std::move(report));
   }
-  span.annotate("winner", qbd::to_string(c.attempt.algorithm));
-  span.annotate("iterations", static_cast<std::uint64_t>(c.attempt.iterations));
-  return accept(blocks, std::move(c.r), c.condition, std::move(report));
+  span.annotate("winner", qbd::to_string(attempt.algorithm));
+  span.annotate("iterations", static_cast<std::uint64_t>(attempt.iterations));
+  return accept(blocks, std::move(r), condition, std::move(report));
+}
+
+}  // namespace
+
+// Scale that makes the R-residual dimensionless: a backward-stable
+// iterate satisfies ||A0 + R A1 + R^2 A2|| <~ eps * sum_i ||Ai||, so
+// dividing by the block norms gives a defect comparable across rate
+// magnitudes (a model with rates in 1e6/s must not look 6 orders worse
+// than the same model in 1/s).
+double residual_scale(const QbdBlocks& b) noexcept {
+  const double s =
+      linalg::norm_inf(b.a0) + linalg::norm_inf(b.a1) + linalg::norm_inf(b.a2);
+  return s > 0.0 ? s : 1.0;
+}
+
+double r_residual_norm(const QbdBlocks& b, const Matrix& r) {
+  return linalg::norm_inf(b.a0 + r * b.a1 + r * r * b.a2) / residual_scale(b);
+}
+
+GSolveResult solve_g_logred(const QbdBlocks& b) {
+  GSolveResult g = logred_impl(b, kRTolerance);
+  if (g.deadline_expired) {
+    throw DeadlineError(
+        "solve_g_logred: deadline expired mid-iteration (cooperative abort)");
+  }
+  if (!g.converged) {
+    char msg[256];
+    std::snprintf(msg, sizeof msg,
+                  "solve_g_logred: logarithmic reduction did not converge "
+                  "(achieved defect %.3e after %u doublings); the QBD is "
+                  "likely not positive recurrent (utilization >= 1)",
+                  g.defect, g.iterations);
+    throw NumericalError(msg);
+  }
+  return g;
+}
+
+RSolveResult solve_r(const QbdBlocks& blocks) {
+  return solve_r_at(blocks, kRTolerance);
+}
+
+RSolveResult solve_r_tight(const QbdBlocks& blocks) {
+  return solve_r_at(blocks, kTightRTolerance);
 }
 
 RSolveResult solve_r_successive_substitution(const QbdBlocks& b,
-                                             const SolverOptions& opts) {
+                                             double tolerance) {
   b.validate();
   const std::size_t m = b.phase_dim();
   const linalg::Lu neg_a1(-1.0 * b.a1);
   SolveAttempt attempt;
   attempt.algorithm = SolveAlgorithm::kSuccessiveSubstitution;
   Matrix r = Matrix::zeros(m, m);
-  for (unsigned it = 1; it <= opts.max_iterations; ++it) {
+  for (unsigned it = 1; it <= 100000; ++it) {
     // R_{k+1} (-A1) = A0 + R_k^2 A2
     Matrix next = neg_a1.solve_left(b.a0 + r * r * b.a2);
     attempt.iterations = it;
@@ -291,7 +283,7 @@ RSolveResult solve_r_successive_substitution(const QbdBlocks& b,
     }
     const double diff = linalg::max_abs_diff(next, r);
     r = std::move(next);
-    if (diff < opts.tolerance) {
+    if (diff < tolerance) {
       attempt.converged = true;
       break;
     }

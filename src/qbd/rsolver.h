@@ -15,19 +15,12 @@
 
 #include "qbd/qbd.h"
 #include "qbd/solve_report.h"
-#include "qbd/trust.h"
 
 namespace performa::qbd {
 
-/// Options shared by the iterative solvers.
-struct SolverOptions {
-  double tolerance = 1e-13;      ///< infinity-norm stopping threshold
-  unsigned max_iterations = 100000;  ///< hard cap per attempt
-  /// A posteriori verification thresholds and self-healing switches,
-  /// applied by QbdSolution's solving constructor (see qbd/trust.h).
-  /// solve_r itself only computes the scaled residual the checks grade.
-  TrustPolicy trust;
-};
+/// Stopping threshold of logarithmic reduction on the G defect
+/// max_i |1 - (G e)_i|.
+inline constexpr double kRTolerance = 1e-13;
 
 /// Result of an R computation with convergence diagnostics.
 struct RSolveResult {
@@ -54,23 +47,26 @@ struct GSolveResult {
 /// irreducible and stable; an unstable model throws UnstableModel from the
 /// drift pre-check, a failed attempt throws SolverFailure with its
 /// one-attempt report, and an expired deadline throws DeadlineExceeded.
-RSolveResult solve_r(const QbdBlocks& blocks, const SolverOptions& opts = {});
+RSolveResult solve_r(const QbdBlocks& blocks);
+
+/// solve_r at the tight tolerance 1e-15: the re-solve rung of
+/// QbdSolution's self-healing ladder.
+RSolveResult solve_r_tight(const QbdBlocks& blocks);
 
 /// Reference R by successive substitution, R_{k+1} (-A1) = A0 + R_k^2 A2
-/// from R_0 = 0, stopped when an update moves no entry by opts.tolerance.
+/// from R_0 = 0, stopped when an update moves no entry by `tolerance`.
 /// Linear at rate ~sp(R), so only practical away from saturation. Tests
 /// compare logarithmic reduction against it; no solving path calls it.
-/// Runs no stability pre-check; throws SolverFailure when the budget runs
-/// out or an iterate turns non-finite.
+/// Runs no stability pre-check; throws SolverFailure when its budget of
+/// 100000 iterations runs out or an iterate turns non-finite.
 RSolveResult solve_r_successive_substitution(const QbdBlocks& blocks,
-                                             const SolverOptions& opts = {});
+                                             double tolerance = kRTolerance);
 
 /// Compute G with logarithmic reduction (used internally by solve_r and
 /// exposed for tests: G is stochastic iff the chain is recurrent).
 /// Throws NumericalError -- with the achieved defect in the message --
 /// when the iteration fails to converge.
-GSolveResult solve_g_logred(const QbdBlocks& blocks,
-                            const SolverOptions& opts = {});
+GSolveResult solve_g_logred(const QbdBlocks& blocks);
 
 /// Block scale sum_i ||Ai||_inf used to normalize R-residuals (1 for an
 /// all-zero QBD, so the scaled residual is always well defined).

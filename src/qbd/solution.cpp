@@ -102,20 +102,12 @@ std::vector<Vector> solve_boundary(const BoundaryLevels& lv, const Matrix& r,
   return pis;
 }
 
-// sum_{k<C} pi_k e + pi_C (I-R)^{-1} e: the total probability mass.
-double total_mass(const std::vector<Vector>& pis, const Matrix& inv) {
-  double total = 0.0;
-  for (std::size_t k = 0; k + 1 < pis.size(); ++k) {
-    total += linalg::sum(pis[k]);
-  }
-  return total + linalg::dot(pis.back(), inv * linalg::ones(inv.rows()));
-}
-
-// |1 - total_mass| in compensated long double: the probability-mass
-// conservation defect. (I-R)^{-1} amplifies an R perturbation dR by
-// roughly (I-R)^{-1} dR (I-R)^{-1}, i.e. by ~E[Q]^2 near saturation,
-// which is what makes this the most sensitive detector of a corrupted or
-// under-converged R.
+// |1 - (sum_{k<C} pi_k e + pi_C (I-R)^{-1} e)| in compensated long
+// double: the probability-mass conservation defect, graded by the trust
+// check and used by the normalization guards. (I-R)^{-1} amplifies an R
+// perturbation dR by roughly (I-R)^{-1} dR (I-R)^{-1}, i.e. by ~E[Q]^2
+// near saturation, which is what makes this the most sensitive detector
+// of a corrupted or under-converged R.
 double mass_defect(const std::vector<Vector>& pis, const Matrix& inv) {
   linalg::CompensatedSum<long double> acc;
   for (std::size_t k = 0; k + 1 < pis.size(); ++k) {
@@ -181,14 +173,13 @@ Vector stationary_lu(const Matrix& gen) {
 
 }  // namespace
 
-QbdSolution::QbdSolution(const QbdBlocks& blocks, const SolverOptions& opts) {
-  solve(homogeneous_levels(blocks), opts);
+QbdSolution::QbdSolution(const QbdBlocks& blocks, const TrustPolicy& policy) {
+  solve(homogeneous_levels(blocks), policy);
   // sp(R) once per answer, on the R that certification released.
   report_.spectral_radius = spectral_radius(r_);
 }
 
-QbdSolution::QbdSolution(const LevelDependentBlocks& blocks,
-                         const SolverOptions& opts) {
+QbdSolution::QbdSolution(const LevelDependentBlocks& blocks) {
   PERFORMA_EXPECTS(!blocks.service.empty(),
                    "QbdSolution: level-dependent blocks need a service level");
   PERFORMA_EXPECTS(blocks.lambda > 0.0,
@@ -219,18 +210,18 @@ QbdSolution::QbdSolution(const LevelDependentBlocks& blocks,
     lv.up.push_back(&tail.a0);
     lv.down.push_back(&blocks.service[k - 1]);
   }
-  solve(lv, opts);
+  solve(lv, TrustPolicy{});
 }
 
-void QbdSolution::solve(const BoundaryLevels& lv, const SolverOptions& opts) {
-  RSolveResult rs = solve_r(lv.tail, opts);
+void QbdSolution::solve(const BoundaryLevels& lv, const TrustPolicy& policy) {
+  RSolveResult rs = solve_r(lv.tail);
   r_ = std::move(rs.r);
   r_iterations_ = rs.iterations;
   r_residual_ = rs.residual;
   report_ = std::move(rs.report);
 
   assemble(lv);
-  certify(lv, opts);
+  certify(lv, policy);
 }
 
 QbdSolution::QbdSolution(Matrix r, Vector pi0, Vector pi1,
@@ -251,7 +242,7 @@ QbdSolution::QbdSolution(Matrix r, Vector pi0, Vector pi1,
         "mismatched journal entry)");
   }
   i_minus_r_inv_ = linalg::inverse(Matrix::identity(m) - r_);
-  if (std::abs(total_mass(pis_, i_minus_r_inv_) - 1.0) > 1e-6) {
+  if (mass_defect(pis_, i_minus_r_inv_) > 1e-6) {
     throw NumericalError(
         "QbdSolution: rehydrated solution is not normalized (corrupt or "
         "mismatched journal entry)");
@@ -285,7 +276,7 @@ void QbdSolution::assemble(const BoundaryLevels& lv) {
       }
     }
   }
-  if (std::abs(total_mass(pis_, i_minus_r_inv_) - 1.0) > 1e-8) {
+  if (mass_defect(pis_, i_minus_r_inv_) > 1e-8) {
     throw NumericalError("QbdSolution: boundary normalization failed");
   }
 }
@@ -390,14 +381,14 @@ void QbdSolution::fixed_point_refine(const BoundaryLevels& lv) {
   assemble(lv);
 }
 
-void QbdSolution::certify(const BoundaryLevels& lv, const SolverOptions& opts) {
+void QbdSolution::certify(const BoundaryLevels& lv,
+                          const TrustPolicy& policy) {
   PERFORMA_SPAN("qbd.solution.certify");
-  const TrustPolicy& policy = opts.trust;
   // First grading reuses the scaled residual solve_r just computed on
   // this exact R: the warm path pays the cheap checks only.
   run_checks(lv, policy, r_residual_);
 
-  if (trust_.verdict != TrustVerdict::kCertified && policy.escalate) {
+  if (trust_.verdict != TrustVerdict::kCertified) {
     static obs::Counter& escalations = obs::counter("qbd.trust.escalations");
     escalations.add();
 
@@ -461,14 +452,9 @@ void QbdSolution::certify(const BoundaryLevels& lv, const SolverOptions& opts) {
       fixed_point_refine(lv);
       ++refinements;
     });
-    // Rung 2: tighter-tolerance re-solve from scratch, never looser than
-    // the default tolerance: a loose caller tolerance scaled by 1e-2 is
-    // still too loose to certify.
+    // Rung 2: a re-solve from scratch at the tight tolerance.
     rung("tight-resolve", [&] {
-      SolverOptions tight = opts;
-      tight.tolerance = std::max(
-          std::min(opts.tolerance * 1e-2, SolverOptions{}.tolerance), 1e-15);
-      RSolveResult rs = solve_r(lv.tail, tight);
+      RSolveResult rs = solve_r_tight(lv.tail);
       r_ = std::move(rs.r);
       r_iterations_ = rs.iterations;
       r_residual_ = rs.residual;
@@ -631,11 +617,6 @@ Vector QbdSolution::phase_marginal() const {
   const Vector busy = phase_marginal_busy();
   for (std::size_t i = 0; i < out.size(); ++i) out[i] += busy[i];
   return out;
-}
-
-double mean_queue_length(const map::Mmpp& service, double lambda,
-                         const SolverOptions& opts) {
-  return QbdSolution(m_mmpp_1(service, lambda), opts).mean_queue_length();
 }
 
 }  // namespace performa::qbd

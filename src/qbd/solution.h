@@ -15,7 +15,7 @@
 //
 //   1. one iterative-refinement pass (a linear fixed-point step on R from
 //      the current iterate + fresh boundary solve),
-//   2. a tighter-tolerance re-solve,
+//   2. a re-solve from scratch at the tight tolerance (solve_r_tight),
 //
 // keeping the best state seen; a final rejected verdict throws
 // TrustRejected instead of releasing wrong numbers.
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "qbd/rsolver.h"
+#include "qbd/trust.h"
 
 namespace performa::qbd {
 
@@ -34,18 +35,18 @@ struct BoundaryLevels;        // the one solved shape (solution.cpp)
 ///   pi_0 .. pi_C (boundary), pi_{C+j} = pi_C R^j for j >= 0.
 class QbdSolution {
  public:
-  /// Solves R and the boundary system, then verifies and (if needed)
-  /// self-heals per opts.trust. Throws NumericalError if the queue is
+  /// Solves R and the boundary system, then verifies against `policy` and
+  /// (if needed) self-heals. Throws NumericalError if the queue is
   /// unstable or the solvers fail to converge, and TrustRejected if the
   /// healed answer still fails a rejection threshold. Computes sp(R)
   /// once, after certification (decay_rate()).
-  explicit QbdSolution(const QbdBlocks& blocks, const SolverOptions& opts = {});
+  explicit QbdSolution(const QbdBlocks& blocks,
+                       const TrustPolicy& policy = {});
 
   /// The same pipeline on a level-dependent QBD (C = blocks.service.size()
-  /// boundary levels). Computes no sp(R): decay_rate() is NaN and callers
-  /// that need it call spectral_radius(r()).
-  explicit QbdSolution(const LevelDependentBlocks& blocks,
-                       const SolverOptions& opts = {});
+  /// boundary levels), under the default TrustPolicy. Computes no sp(R):
+  /// decay_rate() is NaN and callers that need it call spectral_radius(r()).
+  explicit QbdSolution(const LevelDependentBlocks& blocks);
 
   /// Rebuild a solution from previously computed parts -- the daemon's
   /// cache-journal rehydration path. `r`, `pi0`, `pi1` must come from an
@@ -129,9 +130,8 @@ class QbdSolution {
   void refine(const QbdBlocks& blocks);
 
  private:
-  /// R solve + assemble + certify (per opts.trust): both solving
-  /// constructors.
-  void solve(const BoundaryLevels& lv, const SolverOptions& opts);
+  /// R solve + assemble + certify: both solving constructors.
+  void solve(const BoundaryLevels& lv, const TrustPolicy& policy);
   /// (I-R)^{-1} + boundary solve + range clips, from the current r_.
   void assemble(const BoundaryLevels& lv);
   /// refine() without the sp(R) update (the escalation ladder's rung 1).
@@ -141,7 +141,7 @@ class QbdSolution {
   void run_checks(const BoundaryLevels& lv, const TrustPolicy& policy,
                   double r_resid);
   /// verify + escalation ladder; throws TrustRejected on a final reject.
-  void certify(const BoundaryLevels& lv, const SolverOptions& opts);
+  void certify(const BoundaryLevels& lv, const TrustPolicy& policy);
   /// The reduced check set for the blocks-free rehydration path.
   void verify_rehydrated();
 
@@ -153,10 +153,5 @@ class QbdSolution {
   SolveReport report_;
   TrustReport trust_;
 };
-
-/// One-line helper for the common case: mean queue length of an
-/// M/MMPP/1 cluster queue.
-double mean_queue_length(const map::Mmpp& service, double lambda,
-                         const SolverOptions& opts = {});
 
 }  // namespace performa::qbd

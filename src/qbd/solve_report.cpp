@@ -16,6 +16,14 @@ std::string sp_field(double sp, int precision) {
   return buf;
 }
 
+// The algorithm of a converged solve: its last attempt's. A rehydrated
+// report (daemon journal) records no attempt; its R came from logarithmic
+// reduction, the one production algorithm.
+SolveAlgorithm converged_algorithm(const SolveReport& r) {
+  return r.attempts.empty() ? SolveAlgorithm::kLogarithmicReduction
+                            : r.attempts.back().algorithm;
+}
+
 // "<status> over <n> attempt(s)[, last defect=<d>]" for a solve that did
 // not converge. Such a solve has no winner, and its final defect and
 // condition estimate were never computed, so neither rendering prints
@@ -52,8 +60,8 @@ std::string SolveReport::to_string() const {
     std::snprintf(line, sizeof line,
                   "SolveReport: converged, winner=%s, iterations=%u\n"
                   "  defect=%.3e (raw %.3e)  ",
-                  qbd::to_string(winner), iterations, final_defect,
-                  final_defect_raw);
+                  qbd::to_string(converged_algorithm(*this)), iterations,
+                  final_defect, final_defect_raw);
   } else {
     std::snprintf(line, sizeof line, "SolveReport: %s\n  ",
                   failed_head(*this, deadline_exceeded ? "DEADLINE EXCEEDED"
@@ -99,8 +107,8 @@ std::string SolveReport::summary() const {
     std::snprintf(line, sizeof line,
                   "converged: %s after %u its over %zu attempt(s), "
                   "defect=%.3e, ",
-                  qbd::to_string(winner), iterations, attempts.size(),
-                  final_defect);
+                  qbd::to_string(converged_algorithm(*this)), iterations,
+                  attempts.size(), final_defect);
   } else {
     std::snprintf(line, sizeof line, "%s, ",
                   failed_head(*this, deadline_exceeded ? "deadline exceeded"
@@ -117,10 +125,9 @@ std::string SolveReport::summary() const {
   out += " [";
   for (std::size_t i = 0; i < attempts.size(); ++i) {
     const SolveAttempt& a = attempts[i];
-    const bool won = a.converged && a.algorithm == winner;
     std::snprintf(line, sizeof line, "%s%s%s:%uit/%.3fs", i > 0 ? " " : "",
-                  won ? "*" : "", qbd::to_string(a.algorithm), a.iterations,
-                  a.seconds);
+                  a.converged ? "*" : "", qbd::to_string(a.algorithm),
+                  a.iterations, a.seconds);
     out += line;
   }
   out += ']';

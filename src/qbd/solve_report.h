@@ -40,7 +40,6 @@ struct SolveReport {
   /// (obs::DeadlineScope) expired or was cancelled mid-iteration. The
   /// interrupted attempt's note records where the budget ran out.
   bool deadline_exceeded = false;
-  SolveAlgorithm winner = SolveAlgorithm::kLogarithmicReduction;
   unsigned iterations = 0;       ///< iterations of the converged attempt
   /// Scaled residual ||A0 + R A1 + R^2 A2||_inf / (||A0|| + ||A1|| +
   /// ||A2||) at return -- dimensionless, comparable across rate

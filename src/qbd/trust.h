@@ -66,8 +66,6 @@ struct TrustCheck {
 /// the rejection thresholds ~3 further orders up: a rejected answer is not
 /// borderline, it is wrong in digits a caller would read.
 struct TrustPolicy {
-  bool escalate = true;  ///< run the self-healing ladder on suspect
-
   double r_residual_certified = 1e-9;
   double r_residual_rejected = 1e-4;
   double boundary_residual_certified = 1e-9;

@@ -174,10 +174,6 @@ bool sweep_interrupted() noexcept {
   return g_interrupted.load(std::memory_order_relaxed);
 }
 
-void raise_interrupt() noexcept {
-  g_interrupted.store(true, std::memory_order_relaxed);
-}
-
 void clear_interrupt() noexcept {
   g_interrupted.store(false, std::memory_order_relaxed);
 }

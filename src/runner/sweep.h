@@ -93,12 +93,10 @@ unsigned resolve_jobs(unsigned jobs) noexcept;
 /// killed hard.
 void install_signal_handlers();
 
-/// True once SIGINT/SIGTERM/SIGHUP was received (or raise_interrupt was
-/// called).
+/// True once SIGINT/SIGTERM/SIGHUP was received.
 bool sweep_interrupted() noexcept;
 
-/// Raise / clear the interrupt flag programmatically (tests, embedders).
-void raise_interrupt() noexcept;
+/// Clear the interrupt flag programmatically (tests, embedders).
 void clear_interrupt() noexcept;
 
 /// Execute a sweep under supervision. `name` identifies the sweep in

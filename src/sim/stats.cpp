@@ -103,11 +103,6 @@ std::size_t LogHistogram::bin_of(double x) const {
   return idx + 1;
 }
 
-double LogHistogram::edge(std::size_t bin) const {
-  // Lower edge of bin i (1-based interior bins).
-  return std::pow(10.0, log_min_ + static_cast<double>(bin - 1) * log_step_);
-}
-
 void LogHistogram::add(double x) {
   if (std::isnan(x)) {
     throw NonFiniteError("LogHistogram::add: NaN sample");
@@ -124,22 +119,6 @@ double LogHistogram::tail(double x) const {
   // Count bins whose range lies fully above x: start after x's bin.
   for (std::size_t b = from + 1; b < counts_.size(); ++b) above += counts_[b];
   return static_cast<double>(above) / static_cast<double>(count_);
-}
-
-double LogHistogram::quantile_upper(double eps) const {
-  if (count_ == 0) {
-    throw NumericalError("LogHistogram::quantile_upper: no samples");
-  }
-  std::size_t above = 0;
-  for (std::size_t b = counts_.size(); b-- > 1;) {
-    above += counts_[b];
-    if (static_cast<double>(above) / static_cast<double>(count_) > eps) {
-      // Bin b is the first (from the top) pushing the tail beyond eps.
-      const std::size_t next = std::min(b + 1, n_bins_ + 1);
-      return edge(next);
-    }
-  }
-  return edge(1);
 }
 
 BatchMeans::BatchMeans(std::size_t n_batches) : n_batches_(n_batches) {

@@ -102,13 +102,8 @@ class LogHistogram {
   /// all samples in bins whose lower edge is >= x).
   double tail(double x) const;
 
-  /// Smallest bin edge e with tail(e) <= eps (an upper quantile at bin
-  /// granularity); throws NumericalError when no samples are present.
-  double quantile_upper(double eps) const;
-
  private:
   std::size_t bin_of(double x) const;
-  double edge(std::size_t bin) const;
 
   double log_min_;
   double log_step_;

@@ -86,29 +86,6 @@ TEST(LevelDependent, SingleServiceLevelReproducesHomogeneousBitForBit) {
   }
 }
 
-TEST(LevelDependent, LooseToleranceClimbsTheLadderAndHeals) {
-  // Logarithmic reduction stopped at a loose tolerance leaves the first
-  // answer suspect; the refinement rung cannot certify it, the tight
-  // re-solve does, and the trail records how. The re-solve tolerance is
-  // capped at the default, so even a very loose caller tolerance heals.
-  const auto blocks =
-      cluster_level_dependent_blocks(PaperCluster(3, 2), 2.0, 0.2, 2.0);
-  const LevelDependentSolution tight(blocks);
-  for (double tolerance : {1e-4, 1e-3, 1e-2}) {
-    SCOPED_TRACE(tolerance);
-    SolverOptions loose;
-    loose.tolerance = tolerance;
-    const LevelDependentSolution sol(blocks, loose);
-    EXPECT_EQ(sol.trust().verdict, TrustVerdict::kCertified)
-        << sol.trust().to_string();
-    EXPECT_EQ(sol.trust().refinements, 1u);
-    EXPECT_EQ(sol.trust().resolves, 1u);
-    EXPECT_EQ(sol.trust().healing, "refine->tight-resolve->certified");
-    ExpectClose(sol.mean_queue_length(), tight.mean_queue_length(), 1e-9,
-                "healed E[Q]");
-  }
-}
-
 TEST(LevelDependent, ExpiredDeadlineThrowsDeadlineExceeded) {
   const auto blocks =
       cluster_level_dependent_blocks(PaperCluster(2, 2), 2.0, 0.2, 2.0);

@@ -136,9 +136,9 @@ TEST(TrustSolveTest, EscalationLadderRunsAndReleasesBestSuspect) {
   // certify, and the best state is released as suspect with the healing
   // trail attached.
   const ClusterModel model(LoadedTptCluster());
-  SolverOptions opts;
-  opts.trust.r_residual_certified = 1e-30;
-  const auto sol = model.solve(model.lambda_for_rho(0.9), opts);
+  TrustPolicy policy;
+  policy.r_residual_certified = 1e-30;
+  const auto sol = model.solve(model.lambda_for_rho(0.9), policy);
   const TrustReport& trust = sol.trust();
   EXPECT_EQ(trust.verdict, TrustVerdict::kSuspect);
   EXPECT_GE(trust.refinements + trust.resolves, 2u) << trust.to_string();
@@ -146,24 +146,13 @@ TEST(TrustSolveTest, EscalationLadderRunsAndReleasesBestSuspect) {
   EXPECT_NE(trust.healing.find("suspect"), std::string::npos) << trust.healing;
 }
 
-TEST(TrustSolveTest, NoEscalationWhenDisabled) {
-  const ClusterModel model(LoadedTptCluster());
-  SolverOptions opts;
-  opts.trust.r_residual_certified = 1e-30;
-  opts.trust.escalate = false;
-  const auto sol = model.solve(model.lambda_for_rho(0.9), opts);
-  EXPECT_EQ(sol.trust().verdict, TrustVerdict::kSuspect);
-  EXPECT_EQ(sol.trust().refinements, 0u);
-  EXPECT_EQ(sol.trust().resolves, 0u);
-}
-
 TEST(TrustSolveTest, DraconianPolicyThrowsTrustRejectedWithEvidence) {
   const ClusterModel model(LoadedTptCluster());
-  SolverOptions opts;
-  opts.trust.r_residual_certified = 1e-32;
-  opts.trust.r_residual_rejected = 1e-30;  // below any achievable residual
+  TrustPolicy policy;
+  policy.r_residual_certified = 1e-32;
+  policy.r_residual_rejected = 1e-30;  // below any achievable residual
   try {
-    model.solve(model.lambda_for_rho(0.9), opts);
+    model.solve(model.lambda_for_rho(0.9), policy);
     FAIL() << "rejected answer was released";
   } catch (const TrustRejected& e) {
     EXPECT_EQ(e.trust().verdict, TrustVerdict::kRejected);
