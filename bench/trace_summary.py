@@ -4,10 +4,10 @@
 The obs layer writes Chrome trace_event files: a `[` header line, then
 one complete-duration (`ph:"X"`) record per line, each line terminated
 with a comma, closing `]` optional (a SIGKILLed process still leaves a
-loadable file). This tool folds such a trace -- including merged worker
-fragments from a parallel sweep -- into a per-span-name table: count,
-total/mean/percentile wall time, total CPU time, and the number of
-distinct processes that recorded the span.
+loadable file). This tool folds such a trace -- including the records
+the workers of a parallel sweep append to it -- into a per-span-name
+table: count, total/mean/percentile wall time, total CPU time, and the
+number of distinct processes that recorded the span.
 
 Usage:
     trace_summary.py TRACE.jsonl [--csv] [--sort total|mean|count|name]
@@ -25,8 +25,8 @@ import sys
 def parse_trace_lines(lines):
     """Yield trace_event record dicts from JSONL lines.
 
-    Skips the array brackets and anything structurally torn (a worker
-    SIGKILLed mid-write leaves at most one such line per fragment).
+    Skips the array brackets and anything structurally torn (a short
+    write, on a full disk, can leave one partial line).
     """
     for line in lines:
         line = line.strip()

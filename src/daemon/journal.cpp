@@ -1,12 +1,9 @@
 #include "daemon/journal.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <unordered_map>
 
 #include "linalg/errors.h"
@@ -17,22 +14,26 @@ namespace performa::daemon {
 
 namespace {
 
-constexpr char kHeaderPrefix[] = "performad-cache v";
-
 std::string header_line() {
-  return std::string(kHeaderPrefix) + std::to_string(kJournalVersion);
+  return "performad-cache v" + std::to_string(kJournalVersion);
 }
 
-bool parse_header(const std::string& line, int& version) {
-  const std::size_t prefix = sizeof kHeaderPrefix - 1;
-  if (line.compare(0, prefix, kHeaderPrefix) != 0) return false;
-  const std::string digits = line.substr(prefix);
-  if (digits.empty()) return false;
-  char* end = nullptr;
-  const long v = std::strtol(digits.c_str(), &end, 10);
-  if (end != digits.c_str() + digits.size()) return false;
-  version = static_cast<int>(v);
-  return true;
+// Throws InvalidArgument unless `header` is this version's. An empty
+// header is an empty file (killed between create and header write),
+// which counts as a fresh journal.
+void expect_header(const std::string& path, const std::string& header) {
+  PERFORMA_EXPECTS(header.empty() || header == header_line(),
+                   "journal: '" + path + "' is not a v" +
+                       std::to_string(kJournalVersion) +
+                       " performad cache journal (header '" + header + "')");
+}
+
+obs::AppendFile open_journal(const std::string& path) {
+  PERFORMA_EXPECTS(!path.empty(), "CacheJournal: empty path");
+  if (const auto existing = obs::read_record_file(path, /*header_only=*/true)) {
+    expect_header(path, existing->header);
+  }
+  return obs::AppendFile(path, header_line());
 }
 
 // Parses "r123" -> (kind 'r', 123). Returns false for scalar names.
@@ -45,19 +46,6 @@ bool parse_indexed(const std::string& name, char& kind, std::size_t& index) {
   if (end != name.c_str() + name.size()) return false;
   index = static_cast<std::size_t>(i);
   return true;
-}
-
-// fsync the directory holding `path` so a rename survives power loss.
-void sync_parent_dir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dfd = ::open(dir.c_str(), O_RDONLY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
 }
 
 }  // namespace
@@ -176,66 +164,13 @@ bool decode_journal_record(const std::string& line, std::string& key,
 }
 
 CacheJournal::CacheJournal(std::string path, bool sync)
-    : path_(std::move(path)), sync_(sync) {
-  PERFORMA_EXPECTS(!path_.empty(), "CacheJournal: empty path");
-  // Validate an existing header before blindly appending to the file.
-  if (std::FILE* existing = std::fopen(path_.c_str(), "r")) {
-    char line[256];
-    const bool got = std::fgets(line, sizeof line, existing) != nullptr;
-    std::fclose(existing);
-    if (got) {
-      std::string have = line;
-      while (!have.empty() && (have.back() == '\n' || have.back() == '\r')) {
-        have.pop_back();
-      }
-      int version = 0;
-      PERFORMA_EXPECTS(
-          parse_header(have, version) && version >= 1 &&
-              version <= kJournalVersion,
-          "CacheJournal: '" + path_ + "' exists but is not a performad "
-          "cache journal (header '" + have + "')");
-    }
-  }
-  open_for_append();
-}
-
-CacheJournal::~CacheJournal() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void CacheJournal::open_for_append() {
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
-  if (fd_ < 0) {
-    throw NumericalError("CacheJournal: cannot open '" + path_ + "': " +
-                         std::strerror(errno));
-  }
-  struct ::stat st {};
-  if (::fstat(fd_, &st) == 0 && st.st_size == 0) {
-    const std::string header = header_line() + "\n";
-    if (::write(fd_, header.data(), header.size()) !=
-        static_cast<ssize_t>(header.size())) {
-      throw NumericalError("CacheJournal: cannot write header to '" + path_ +
-                           "'");
-    }
-    if (sync_) ::fsync(fd_);
-  }
-}
+    : path_(std::move(path)), sync_(sync), file_(open_journal(path_)) {}
 
 void CacheJournal::append(const std::string& key,
                           const CachedSolution& entry) {
   const std::string record = encode_journal_record(key, entry, seq_) + "\n";
-  // One write(2) for the whole record: O_APPEND writes are atomic with
-  // respect to SIGKILL (the kernel has all the bytes or none), so the
-  // journal cannot hold a torn record from a process kill -- only a
-  // short write (ENOSPC) can truncate one, and the CRC drops it at load.
-  const ssize_t n = ::write(fd_, record.data(), record.size());
-  if (n != static_cast<ssize_t>(record.size())) {
-    throw NumericalError("CacheJournal: short write to '" + path_ + "': " +
-                         std::strerror(errno));
-  }
-  if (sync_ && ::fsync(fd_) != 0) {
-    throw NumericalError("CacheJournal: fsync failed on '" + path_ + "'");
-  }
+  file_.append(record);
+  if (sync_) file_.sync();
   ++seq_;
 
   static obs::Counter& records = obs::counter("daemon.journal.records");
@@ -247,87 +182,52 @@ void CacheJournal::append(const std::string& key,
 void CacheJournal::compact(
     const std::vector<std::pair<std::string, CachedSolution>>& entries) {
   const std::string tmp = path_ + ".tmp";
-  const int tfd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (tfd < 0) {
-    throw NumericalError("CacheJournal: cannot create '" + tmp + "'");
-  }
-  std::string out = header_line() + "\n";
+  std::string body;
   std::uint64_t seq = 0;
   for (const auto& [key, entry] : entries) {
-    out += encode_journal_record(key, entry, seq++);
-    out += '\n';
+    body += encode_journal_record(key, entry, seq++);
+    body += '\n';
   }
-  const bool ok =
-      ::write(tfd, out.data(), out.size()) == static_cast<ssize_t>(out.size()) &&
-      ::fsync(tfd) == 0;
-  ::close(tfd);
-  if (!ok) {
+  try {
+    const obs::AppendFile out(tmp, header_line(), /*truncate=*/true);
+    out.append(body);
+    out.sync();
+  } catch (...) {
     ::unlink(tmp.c_str());
-    throw NumericalError("CacheJournal: cannot write '" + tmp + "'");
+    throw;
   }
   if (::rename(tmp.c_str(), path_.c_str()) != 0) {
     ::unlink(tmp.c_str());
     throw NumericalError("CacheJournal: rename to '" + path_ + "' failed");
   }
-  sync_parent_dir(path_);
-  if (fd_ >= 0) ::close(fd_);
-  open_for_append();
+  obs::sync_parent_dir(path_);
+  file_ = obs::AppendFile(path_, header_line());
   static obs::Counter& compactions = obs::counter("daemon.journal.compactions");
   compactions.add(1);
 }
 
 JournalLoad load_journal(const std::string& path) {
   JournalLoad load;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return load;  // first boot: nothing to recover
-
-  std::string line;
-  char buf[4096];
-  bool saw_header = false;
+  const auto file = obs::read_record_file(path);
+  if (!file) return load;  // first boot: nothing to recover
+  expect_header(path, file->header);
   // key -> position in load.entries, for later-records-win.
   std::unordered_map<std::string, std::size_t> by_key;
-  while (std::fgets(buf, sizeof buf, f) != nullptr) {
-    line += buf;
-    if ((line.empty() || line.back() != '\n') && !std::feof(f)) {
-      continue;  // long record, keep reading
+  for (const std::string& line : file->records) {
+    std::string key;
+    CachedSolution entry;
+    if (!decode_journal_record(line, key, entry)) {
+      ++load.dropped_records;
+      continue;
     }
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.pop_back();
+    ++load.records;
+    auto it = by_key.find(key);
+    if (it != by_key.end()) {
+      load.entries[it->second].second = std::move(entry);  // later wins
+    } else {
+      by_key.emplace(key, load.entries.size());
+      load.entries.emplace_back(std::move(key), std::move(entry));
     }
-    if (!saw_header) {
-      int version = 0;
-      if (!parse_header(line, version) || version < 1 ||
-          version > kJournalVersion) {
-        std::fclose(f);
-        throw InvalidArgument("load_journal: '" + path + "' is not a v1.." +
-                              std::to_string(kJournalVersion) +
-                              " performad cache journal (header '" + line +
-                              "')");
-      }
-      saw_header = true;
-    } else if (!line.empty()) {
-      std::string key;
-      CachedSolution entry;
-      if (decode_journal_record(line, key, entry)) {
-        ++load.records;
-        auto it = by_key.find(key);
-        if (it != by_key.end()) {
-          load.entries[it->second].second = std::move(entry);  // later wins
-        } else {
-          by_key.emplace(key, load.entries.size());
-          load.entries.emplace_back(std::move(key), std::move(entry));
-        }
-      } else {
-        ++load.dropped_records;
-      }
-    }
-    line.clear();
-  }
-  std::fclose(f);
-  if (!saw_header && load.records == 0) {
-    // Zero-length file (daemon killed between create and header write):
-    // treat as first boot rather than corruption.
-    return load;
   }
   return load;
 }

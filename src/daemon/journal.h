@@ -3,11 +3,11 @@
 // Every solution the daemon computes is serialized into one
 // self-checksummed record (the runner's checkpoint codec: CRC-32 over
 // the payload, hex-float numbers for bit-exact round-trips) and
-// appended to the journal with a *single write(2)* on an O_APPEND fd.
-// A whole record in one syscall cannot be torn by SIGKILL -- the kernel
-// either has the bytes or it does not -- so the only window left is
-// power loss before the page reaches disk, which the `sync` flag
-// (fsync per append, the daemon's default) closes.
+// appended to the journal through an obs::AppendFile: one write(2) on an
+// O_APPEND fd. A whole record in one syscall cannot be torn by SIGKILL
+// -- the kernel either has the bytes or it does not -- so the only
+// window left is power loss before the page reaches disk, which the
+// `sync` flag (fsync per append, the daemon's default) closes.
 //
 //   performad-cache v1
 //   P <crc32-hex> <seq>|<model-key>|ok|1|||<metrics>
@@ -28,8 +28,9 @@
 // with its cache warm.
 //
 // The journal only grows; compact() rewrites it from a cache snapshot
-// via write-temp-then-rename, so even a crash mid-compaction leaves
-// either the old or the new journal, never a hybrid.
+// via write-temp (through a second AppendFile), fsync, rename and a
+// directory fsync, so even a crash mid-compaction leaves either the old
+// or the new journal, never a hybrid.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "daemon/cache.h"
+#include "obs/append_file.h"
 
 namespace performa::daemon {
 
@@ -66,14 +68,10 @@ struct JournalLoad {
 class CacheJournal {
  public:
   /// Open (creating with a header when absent) for appending. With
-  /// `sync`, every append is fsync'd. Throws NumericalError on I/O
+  /// `sync`, every append is fsync'd. Throws std::runtime_error on I/O
   /// failure, InvalidArgument when an existing file has a foreign
   /// header.
   CacheJournal(std::string path, bool sync);
-  ~CacheJournal();
-
-  CacheJournal(const CacheJournal&) = delete;
-  CacheJournal& operator=(const CacheJournal&) = delete;
 
   /// Append one entry (one record, one write syscall). I/O errors
   /// throw; the in-memory cache is the source of truth, so a failed
@@ -81,8 +79,8 @@ class CacheJournal {
   void append(const std::string& key, const CachedSolution& entry);
 
   /// Rewrite the journal to hold exactly `entries` (a cache snapshot),
-  /// atomically via temp file + rename. The append fd is reopened on
-  /// the new file.
+  /// atomically via temp file + rename. The journal is reopened on the
+  /// new file.
   void compact(
       const std::vector<std::pair<std::string, CachedSolution>>& entries);
 
@@ -90,11 +88,9 @@ class CacheJournal {
   std::uint64_t appended() const noexcept { return seq_; }
 
  private:
-  void open_for_append();
-
   std::string path_;
   bool sync_;
-  int fd_ = -1;
+  obs::AppendFile file_;
   std::uint64_t seq_ = 0;
 };
 

@@ -42,7 +42,7 @@ void usage(const char* argv0) {
       "  --default-deadline-ms N  deadline for requests without one\n"
       "                           (default 30000)\n"
       "  --max-deadline-ms N      cap on client deadlines (default 300000)\n"
-      "  --watchdog-grace-ms N    escalation step past a blown deadline\n"
+      "  --watchdog-grace-ms N    abandon a solve stuck at deadline + 2N\n"
       "                           (default 2000)\n"
       "  --config PATH        key=value file re-read on SIGHUP\n"
       "  --debug-ops          enable the debug-sleep test op\n"

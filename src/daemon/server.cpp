@@ -166,11 +166,6 @@ struct Server::Request {
   /// normal completion, watchdog on abandonment) -- exactly one reply
   /// per request, no double-send race.
   std::atomic<bool> completed{false};
-  /// Watchdog-only escalation state. remaining_seconds() clamps to 0
-  /// once cancelled, so the stage-2 timer must run off the kick time,
-  /// not off the (now clamped) deadline.
-  bool watchdog_kicked = false;
-  Clock::time_point kicked_at{};
 };
 
 struct Server::WorkerSlot {
@@ -653,7 +648,6 @@ void Server::handle_request(const std::shared_ptr<Request>& request,
 }
 
 void Server::watchdog_loop() {
-  static obs::Counter& cancelled = obs::counter("daemon.watchdog.cancelled");
   static obs::Counter& abandoned = obs::counter("daemon.watchdog.abandoned");
   static obs::Gauge& inflight_gauge = obs::gauge("daemon.inflight");
 
@@ -676,27 +670,12 @@ void Server::watchdog_loop() {
       }
       if (!request || request->completed.load()) continue;
 
-      // Stage 1: cooperative kick once the deadline is a full grace
-      // period past due. cancel() additionally covers code that polls
-      // only the flag.
-      if (!request->watchdog_kicked) {
-        if (request->deadline.remaining_seconds() > -grace) continue;
-        request->deadline.cancel();
-        request->watchdog_kicked = true;
-        request->kicked_at = Clock::now();
-        cancelled.add(1);
-        PERFORMA_LOG(kWarn, "daemon.watchdog_cancelled")
-            .kv("qid", request->qid)
-            .kv("op", request->op)
-            .kv("grace_s", grace);
-        continue;
-      }
-      if (seconds_since(request->kicked_at) < grace) continue;
-
-      // Stage 2: the worker ignored the deadline for a full extra
-      // grace period -- abandon it. The client gets its error now, a
-      // fresh worker restores pool capacity, and the stuck thread
-      // exits quietly whenever it finally returns.
+      // Every admitted request runs under a wall-clock deadline that
+      // its solver polls. One that is still running two grace periods
+      // past it ignores the deadline: abandon it. The client gets its
+      // error now, a fresh worker restores pool capacity, and the stuck
+      // thread exits quietly whenever it finally returns.
+      if (request->deadline.remaining_seconds() > -2.0 * grace) continue;
       if (!request->completed.exchange(true)) {
         request->conn->send_line(simple_response(
             request->id, request->op, request->qid, false,

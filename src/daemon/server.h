@@ -16,13 +16,11 @@
 //
 // Every admitted request runs under a cooperative obs::DeadlineScope
 // derived from its `deadline_ms` field (capped by the server's
-// maximum). The watchdog escalates on requests that blow through it:
-// at deadline + grace the request's token is cancelled (a cooperative
-// kick for paths that poll cancellation but carry no wall clock); at
-// deadline + 2*grace the worker is *abandoned* -- the client gets an
-// error response right away, a replacement worker is spawned so pool
-// capacity recovers, and the stuck thread is left to finish in the
-// background and exit quietly. That is the thread-pool analogue of
+// maximum), which the solver polls. The watchdog catches requests that
+// ignore it: at deadline + 2*grace the worker is *abandoned* -- the
+// client gets an error response right away, a replacement worker is
+// spawned so pool capacity recovers, and the stuck thread is left to
+// finish in the background and exit quietly. That is the thread-pool analogue of
 // "kill and respawn the stuck worker": the client-facing contract
 // (bounded response time, restored capacity) is identical.
 //
@@ -49,7 +47,7 @@ struct DaemonConfig {
   std::size_t queue_capacity = 64;  ///< admission queue bound
   double default_deadline_s = 30.0; ///< applied when a request has none
   double max_deadline_s = 300.0;    ///< cap on client-supplied deadlines
-  double watchdog_grace_s = 2.0;    ///< escalation step past the deadline
+  double watchdog_grace_s = 2.0;    ///< abandon at deadline + 2 * grace
   std::string config_path;      ///< key=value file re-read on SIGHUP
   EngineConfig engine;
 };

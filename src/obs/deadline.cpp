@@ -1,6 +1,7 @@
 #include "obs/deadline.h"
 
 #include <limits>
+#include <utility>
 
 namespace performa::obs {
 
@@ -18,30 +19,24 @@ Deadline Deadline::after_seconds(double seconds) {
 
 Deadline Deadline::at(Clock::time_point at) {
   Deadline d;
-  d.state_->has_expiry = true;
-  d.state_->expires_at = at;
+  d.has_expiry_ = true;
+  d.expires_at_ = at;
   return d;
 }
 
 bool Deadline::expired() const noexcept {
-  if (state_->cancelled.load(std::memory_order_relaxed)) return true;
-  return state_->has_expiry && Clock::now() >= state_->expires_at;
+  return has_expiry_ && Clock::now() >= expires_at_;
 }
 
 double Deadline::remaining_seconds() const noexcept {
-  if (state_->cancelled.load(std::memory_order_relaxed)) return 0.0;
-  if (!state_->has_expiry) return std::numeric_limits<double>::infinity();
-  return std::chrono::duration<double>(state_->expires_at - Clock::now())
-      .count();
+  if (!has_expiry_) return std::numeric_limits<double>::infinity();
+  return std::chrono::duration<double>(expires_at_ - Clock::now()).count();
 }
 
 DeadlineScope::DeadlineScope(Deadline d)
     : previous_(t_current), effective_(std::move(d)) {
   // A nested scope must not outlive its parent's budget: keep whichever
-  // wall-clock expiry is earlier. Cancellation does not merge -- the
-  // inner token stays independently cancellable -- but the solver polls
-  // both through deadline_expired(), which checks the installed token,
-  // and an expired outer scope re-asserts itself on scope exit.
+  // wall-clock expiry is earlier.
   if (previous_ != nullptr && previous_->has_wall_deadline() &&
       (!effective_.has_wall_deadline() ||
        previous_->remaining_seconds() < effective_.remaining_seconds())) {

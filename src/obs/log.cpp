@@ -1,18 +1,19 @@
 #include "obs/log.h"
 
-#include <fcntl.h>
 #include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <mutex>
-#include <stdexcept>
+#include <optional>
 
+#include "obs/append_file.h"
 #include "obs/flight.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace performa::obs {
@@ -36,20 +37,18 @@ double realtime_seconds() noexcept {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
+// Not cached: a forked worker's thread would keep its parent's tid.
 std::uint64_t thread_id() noexcept {
-  thread_local const std::uint64_t tid =
-      static_cast<std::uint64_t>(::syscall(SYS_gettid));
-  return tid;
+  return static_cast<std::uint64_t>(::syscall(SYS_gettid));
 }
 
-// Sink state: a file descriptor; fd == STDERR_FILENO means "no file
-// sink". A forked worker keeps writing to the inherited O_APPEND fd.
-// Guarded by a mutex -- the hot path never reaches here (level gate +
-// token bucket run first), and one write(2) per line keeps concurrent
-// lines unsplit anyway.
+// Sink state: an AppendFile, or none for stderr. A forked worker keeps
+// writing to the inherited fd. Guarded by a mutex -- the hot path never
+// reaches here (level gate + token bucket run first), and one write(2)
+// per line keeps concurrent lines unsplit anyway.
 struct LogRegistry {
   std::mutex mutex;
-  int fd = STDERR_FILENO;
+  std::optional<AppendFile> file;
 };
 
 LogRegistry& log_registry() {
@@ -57,23 +56,10 @@ LogRegistry& log_registry() {
   return *r;
 }
 
-void write_all_fd(int fd, const char* data, std::size_t len) noexcept {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::write(fd, data + off, len - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-}
-
-void install_log_fd(int fd) {
+void install_log_file(std::optional<AppendFile> file) {
   LogRegistry& reg = log_registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
-  if (reg.fd != STDERR_FILENO) ::close(reg.fd);
-  reg.fd = fd;
+  reg.file = std::move(file);
 }
 
 // Query-id state: the std::string is what the process reads; the fixed
@@ -114,14 +100,10 @@ void set_log_level(LogLevel level) {
 
 void set_log_file(const std::string& path) {
   if (path.empty()) {
-    install_log_fd(STDERR_FILENO);
-    return;
+    install_log_file(std::nullopt);
+  } else {
+    install_log_file(AppendFile(path, ""));
   }
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) {
-    throw std::runtime_error("obs: cannot open log file: " + path);
-  }
-  install_log_fd(fd);
 }
 
 bool init_log_from_env() {
@@ -141,7 +123,7 @@ bool init_log_from_env() {
   {
     LogRegistry& reg = log_registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-    if (reg.fd != STDERR_FILENO) return true;  // already configured
+    if (reg.file) return true;  // already configured
   }
   const char* path = std::getenv("PERFORMA_LOG");
   if (path == nullptr || path[0] == '\0' ||
@@ -153,7 +135,7 @@ bool init_log_from_env() {
 }
 
 void reset_log_for_test() {
-  install_log_fd(STDERR_FILENO);
+  install_log_file(std::nullopt);
   detail::g_log_level.store(static_cast<int>(LogLevel::kInfo),
                             std::memory_order_relaxed);
 }
@@ -233,7 +215,17 @@ LogLine::~LogLine() {
   buf_ += '\n';
   LogRegistry& reg = log_registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
-  write_all_fd(reg.fd, buf_.data(), buf_.size());
+  try {
+    if (reg.file) {
+      reg.file->append(buf_);
+    } else {
+      write_all(STDERR_FILENO, buf_, "stderr");
+    }
+  } catch (const std::exception&) {
+    // A line that cannot be written is lost; the caller carries on.
+    static Counter& errors = counter("obs.log.write_errors");
+    errors.add(1);
+  }
 }
 
 LogLine& LogLine::kv(const char* key, const std::string& value) {

@@ -22,9 +22,9 @@
 // silently.
 //
 // Fork boundary: a forked worker keeps writing to the inherited fd.
-// The file is opened O_APPEND and each line is one write(2), so worker
-// and parent lines land whole, each under its writer's pid; unlike the
-// buffered trace sink, the log needs no fragment (fork.h).
+// The file is an AppendFile (append_file.h) and each line is one
+// write(2), so worker and parent lines land whole, each under its
+// writer's pid.
 //
 // Every line automatically carries ts (unix seconds), level, event,
 // pid, tid, and -- when a QueryIdScope is active on the thread -- the
@@ -56,7 +56,7 @@ inline bool log_enabled(LogLevel level) noexcept {
 /// Set the minimum admitted level (default kInfo).
 void set_log_level(LogLevel level);
 
-/// Route log lines to `path` (O_APPEND; a single write(2) per line).
+/// Route log lines to `path`, an AppendFile (one write(2) per line).
 /// Throws std::runtime_error when the file cannot be opened. An empty
 /// path routes back to stderr (the default sink).
 void set_log_file(const std::string& path);

@@ -14,8 +14,8 @@
 // live pool statistics without any flag.
 //
 // Metrics are per-process: a forked worker inherits a snapshot of the
-// registry and its increments die with it (its spans are merged back
-// through obs::ForkHandoff, its log lines go to the inherited log fd).
+// registry and its increments die with it (its spans and log lines go
+// to the inherited trace and log fds).
 // The supervisor's registry describes the supervisor.
 #pragma once
 

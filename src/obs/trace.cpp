@@ -5,14 +5,15 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <utility>
 
+#include "obs/append_file.h"
 #include "obs/flight.h"
 #include "obs/log.h"
-#include "obs/sink_hooks.h"
+#include "obs/metrics.h"
 
 namespace performa::obs {
 
@@ -94,42 +95,47 @@ std::string serialize(const TraceEvent& ev) {
   return line;
 }
 
-/// File sink: Chrome trace_event JSON array, one record per line. Every
-/// batch ends in fflush so (a) a SIGKILL loses at most the last line
-/// and (b) a fork never duplicates buffered stdio bytes into a child.
+/// Where trace records go. The flusher calls it under the registry
+/// lock, one flushed batch at a time.
+class TraceSink {
+ public:
+  virtual ~TraceSink() = default;
+  /// Record one batch of completed spans; never throws.
+  virtual void write(const std::vector<TraceEvent>& batch) = 0;
+};
+
+/// File sink: Chrome trace_event JSON array, one record per line. Each
+/// batch is serialized into one string and appended with one write(2),
+/// so a SIGKILL never tears a record, and forked workers writing through
+/// the inherited fd never split one another's lines.
 class FileSink final : public TraceSink {
  public:
   explicit FileSink(const std::string& path)
-      : file_(std::fopen(path.c_str(), "w")) {
-    if (file_ == nullptr) {
-      throw std::runtime_error("obs: cannot open trace file: " + path);
+      : file_(path, "[", /*truncate=*/true) {}
+  void write(const std::vector<TraceEvent>& batch) override {
+    std::string out;
+    for (const TraceEvent& event : batch) {
+      out += serialize(event);
+      out += '\n';
     }
-    std::fputs("[\n", file_);
-    std::fflush(file_);
+    try {
+      file_.append(out);
+    } catch (const std::exception&) {
+      // A trace that cannot be written must not fail the traced work.
+      static Counter& errors = counter("obs.trace.write_errors");
+      errors.add(1);
+    }
   }
-  ~FileSink() override {
-    if (file_ != nullptr) std::fclose(file_);
-  }
-  void write(const TraceEvent& event) override {
-    const std::string line = serialize(event);
-    std::fwrite(line.data(), 1, line.size(), file_);
-    std::fputc('\n', file_);
-  }
-  void write_raw(const std::string& json_line) override {
-    std::fwrite(json_line.data(), 1, json_line.size(), file_);
-    std::fputc('\n', file_);
-  }
-  void flush() override { std::fflush(file_); }
 
  private:
-  std::FILE* file_;
+  AppendFile file_;
 };
 
 class MemorySink final : public TraceSink {
  public:
-  void write(const TraceEvent& event) override { events_.push_back(event); }
-  // Fork fragments merge only into a file sink (see fork.h).
-  void write_raw(const std::string&) override {}
+  void write(const std::vector<TraceEvent>& batch) override {
+    events_.insert(events_.end(), batch.begin(), batch.end());
+  }
   std::vector<TraceEvent> drain_events() { return std::move(events_); }
 
  private:
@@ -143,7 +149,6 @@ struct Registry {
   std::mutex mutex;
   std::unique_ptr<TraceSink> sink;
   MemorySink* memory = nullptr;  ///< non-null when sink is the memory sink
-  std::string file_path;
 };
 
 Registry& registry() {
@@ -162,10 +167,7 @@ struct ThreadBuffer {
     if (events.empty()) return;
     Registry& reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-    if (reg.sink != nullptr) {
-      for (const TraceEvent& ev : events) reg.sink->write(ev);
-      reg.sink->flush();
-    }
+    if (reg.sink != nullptr) reg.sink->write(events);
     events.clear();
   }
 };
@@ -175,41 +177,33 @@ ThreadBuffer& thread_buffer() {
   return buffer;
 }
 
-void install_sink(std::unique_ptr<TraceSink> sink, MemorySink* memory,
-                  std::string path) {
+void install_sink(std::unique_ptr<TraceSink> sink, MemorySink* memory) {
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
   reg.sink = std::move(sink);
   reg.memory = memory;
-  reg.file_path = std::move(path);
   detail::g_trace_on.store(reg.sink != nullptr, std::memory_order_relaxed);
 }
 
 }  // namespace
 
 void enable_trace_file(const std::string& path) {
-  install_sink(std::make_unique<FileSink>(path), nullptr, path);
+  install_sink(std::make_unique<FileSink>(path), nullptr);
 }
 
 void enable_trace_memory() {
   auto sink = std::make_unique<MemorySink>();
   MemorySink* memory = sink.get();
-  install_sink(std::move(sink), memory, "");
+  install_sink(std::move(sink), memory);
 }
 
 void disable_trace() {
   flush_trace();
-  install_sink(nullptr, nullptr, "");
+  install_sink(nullptr, nullptr);
 }
 
 void flush_trace() {
   thread_buffer().flush();
-}
-
-const std::string& trace_file_path() {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  return reg.file_path;
 }
 
 std::vector<TraceEvent> drain_memory_trace() {
@@ -222,27 +216,7 @@ std::vector<TraceEvent> drain_memory_trace() {
 
 namespace detail {
 
-void enter_trace_fragment(const std::string& path) noexcept {
-  // Inherited buffered spans belong to the parent: drop them without
-  // flushing. The parent's FileSink fflushes after every batch, so no
-  // serialized bytes are duplicated either; replacing the inherited sink
-  // closes the child's copy of the fd with an empty stdio buffer.
-  thread_buffer().events.clear();
-  try {
-    install_sink(std::make_unique<FileSink>(path), nullptr, path);
-  } catch (...) {
-    install_sink(nullptr, nullptr, "");  // cannot open it: run untraced
-  }
-}
-
-std::size_t append_trace_records(const std::vector<std::string>& records) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  if (reg.sink == nullptr || records.empty()) return 0;
-  for (const std::string& record : records) reg.sink->write_raw(record);
-  reg.sink->flush();
-  return records.size();
-}
+void discard_thread_spans() noexcept { thread_buffer().events.clear(); }
 
 }  // namespace detail
 

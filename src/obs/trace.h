@@ -1,5 +1,5 @@
 // Zero-dependency tracing: RAII scoped spans recording wall and CPU
-// time, buffered thread-locally and flushed to a pluggable sink as
+// time, buffered thread-locally and flushed to a file or memory sink as
 // Chrome trace_event-compatible complete-duration (`ph:"X"`) records.
 // A trace file written by the JSONL sink opens directly in
 // about://tracing and Perfetto.
@@ -11,11 +11,11 @@
 // thread-local buffer; serialization happens at flush granularity, off
 // the instrumented path.
 //
-// Fork boundary: a forked worker must not share its parent's sink (two
-// writers would interleave mid-line). obs::ForkHandoff (fork.h) gives
-// the worker a private fragment file and merges it back on reap.
-// Fragment records carry the worker's pid, so a merged sweep trace
-// shows one timeline per process.
+// Fork boundary: the file sink appends each flushed batch with one
+// write(2) (append_file.h), so a forked worker keeps writing to the
+// inherited fd and its records land whole in the parent's trace, under
+// the worker's pid: a sweep trace shows one timeline per process.
+// obs::ForkHandoff (fork.h) drops the spans a worker inherits buffered.
 #pragma once
 
 #include <atomic>
@@ -27,6 +27,10 @@ namespace performa::obs {
 
 namespace detail {
 extern std::atomic<bool> g_trace_on;
+
+/// Drop the calling thread's buffered spans unflushed: a forked child's
+/// copy of spans its parent will flush itself (fork.h).
+void discard_thread_spans() noexcept;
 }  // namespace detail
 
 /// True when a sink is installed and spans record; spans constructed
@@ -48,18 +52,6 @@ struct TraceEvent {
   std::string args;     ///< extra JSON: `,"key":"value"` fragments
 };
 
-/// Where serialized trace records go. Implementations must be safe to
-/// call from multiple threads (the flusher serializes under one lock).
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  /// Append one span record.
-  virtual void write(const TraceEvent& event) = 0;
-  /// Append one pre-serialized record line (fork fragments).
-  virtual void write_raw(const std::string& json_line) = 0;
-  virtual void flush() {}
-};
-
 /// Route spans to `path` as a Chrome trace_event JSON array, one record
 /// per line (`[` first, then `{...},` lines; the closing bracket is
 /// optional per the trace_event spec, so a killed process still leaves
@@ -75,10 +67,6 @@ void disable_trace();
 
 /// Drain the calling thread's span buffer into the sink and flush it.
 void flush_trace();
-
-/// Path of the file sink currently installed; empty for memory sink or
-/// disabled tracing. ForkHandoff derives fragment paths from this.
-const std::string& trace_file_path();
 
 /// Flush, then move the memory sink's accumulated events out (tests).
 /// Returns an empty vector when the sink is not the memory sink.

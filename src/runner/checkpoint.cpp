@@ -1,7 +1,5 @@
 #include "runner/checkpoint.h"
 
-#include <unistd.h>
-
 #include <array>
 #include <cmath>
 #include <cstdio>
@@ -186,126 +184,80 @@ bool decode_point(const std::string& line, CheckpointPoint& out) {
   return true;
 }
 
-void open_checkpoint(const std::string& path, const std::string& sweep_name) {
+obs::AppendFile open_checkpoint(const std::string& path,
+                                const std::string& sweep_name) {
   PERFORMA_EXPECTS(!path.empty(), "open_checkpoint: empty path");
-  if (std::FILE* existing = std::fopen(path.c_str(), "r")) {
-    char line[512];
-    const bool got = std::fgets(line, sizeof line, existing) != nullptr;
-    std::fclose(existing);
-    std::string have = got ? line : "";
-    while (!have.empty() && (have.back() == '\n' || have.back() == '\r')) {
-      have.pop_back();
-    }
+  if (const auto existing = obs::read_record_file(path, /*header_only=*/true);
+      existing && !existing->header.empty()) {
     int version = 0;
     std::string name;
-    const bool parsed = parse_header(have, version, name);
     PERFORMA_EXPECTS(
-        parsed && version >= kMinCheckpointVersion &&
-            version <= kCheckpointVersion &&
-            name == sanitize(sweep_name, "|"),
+        parse_header(existing->header, version, name) &&
+            version >= kMinCheckpointVersion &&
+            version <= kCheckpointVersion && name == sanitize(sweep_name, "|"),
         "open_checkpoint: '" + path + "' exists but its header does not "
-        "match this sweep/version (have '" + have + "', want '" +
+        "match this sweep/version (have '" + existing->header + "', want '" +
         header_line(kCheckpointVersion, sweep_name) + "' or a v" +
         std::to_string(kMinCheckpointVersion) + " equivalent)");
-    return;
   }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    throw NumericalError("open_checkpoint: cannot create '" + path + "'");
-  }
-  std::fprintf(f, "%s\n",
-               header_line(kCheckpointVersion, sweep_name).c_str());
-  std::fflush(f);
-  std::fclose(f);
+  return obs::AppendFile(path, header_line(kCheckpointVersion, sweep_name));
 }
 
-void append_point(const std::string& path, const CheckpointPoint& point,
+void append_point(const obs::AppendFile& file, const CheckpointPoint& point,
                   bool sync) {
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) {
-    throw NumericalError("append_point: cannot open '" + path + "'");
-  }
-  const std::string record = encode_point(point);
-  std::fprintf(f, "%s\n", record.c_str());
-  std::fflush(f);
-  if (sync && ::fsync(::fileno(f)) != 0) {
-    std::fclose(f);
-    throw NumericalError("append_point: fsync failed on '" + path + "'");
-  }
-  std::fclose(f);
+  const std::string record = encode_point(point) + "\n";
+  file.append(record);
+  if (sync) file.sync();
 
   static obs::Counter& records = obs::counter("runner.checkpoint.records");
   static obs::Counter& bytes = obs::counter("runner.checkpoint.bytes");
   records.add(1);
-  bytes.add(record.size() + 1);  // +1: the terminating newline
+  bytes.add(record.size());
 }
 
 SweepCheckpoint load_checkpoint(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
+  const auto file = obs::read_record_file(path);
+  if (!file) {
     throw NumericalError("load_checkpoint: cannot open '" + path + "'");
   }
+  if (file->header.empty() && file->records.empty()) {
+    throw InvalidArgument("load_checkpoint: '" + path + "' is empty");
+  }
   SweepCheckpoint ck;
-  std::string line;
-  char buf[4096];
-  bool saw_header = false;
-  bool line_done;
+  if (!parse_header(file->header, ck.version, ck.sweep_name) ||
+      ck.version < kMinCheckpointVersion || ck.version > kCheckpointVersion) {
+    throw InvalidArgument("load_checkpoint: '" + path + "' is not a v" +
+                          std::to_string(kMinCheckpointVersion) + "..v" +
+                          std::to_string(kCheckpointVersion) +
+                          " checkpoint (header '" + file->header + "')");
+  }
   // id -> outcome of the latest record seen, for v2 duplicate rejection.
   std::vector<std::pair<std::string, Outcome>> latest;
-  while (std::fgets(buf, sizeof buf, f) != nullptr) {
-    line += buf;
-    line_done = !line.empty() && line.back() == '\n';
-    if (!line_done && !std::feof(f)) continue;  // long line, keep reading
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.pop_back();
+  for (const std::string& line : file->records) {
+    CheckpointPoint p;
+    if (!decode_point(line, p)) {
+      ++ck.dropped_records;  // torn append (short write) or damage
+      continue;
     }
-    if (!saw_header) {
-      int version = 0;
-      std::string name;
-      if (!parse_header(line, version, name) ||
-          version < kMinCheckpointVersion || version > kCheckpointVersion) {
-        std::fclose(f);
+    if (ck.version >= 2) {
+      bool duplicate_ok = false;
+      bool seen = false;
+      for (auto& [id, outcome] : latest) {
+        if (id != p.id) continue;
+        seen = true;
+        duplicate_ok = outcome == Outcome::kOk;
+        outcome = p.outcome;  // degraded records may be superseded
+        break;
+      }
+      if (duplicate_ok) {
         throw InvalidArgument(
-            "load_checkpoint: '" + path + "' is not a v" +
-            std::to_string(kMinCheckpointVersion) + "..v" +
-            std::to_string(kCheckpointVersion) + " checkpoint (header '" +
-            line + "')");
+            "load_checkpoint: '" + path + "' holds a second record for "
+            "point '" + p.id + "', which already has an ok record -- "
+            "two sweeps appear to have shared this checkpoint");
       }
-      ck.version = version;
-      ck.sweep_name = name;
-      saw_header = true;
-    } else if (!line.empty()) {
-      CheckpointPoint p;
-      if (decode_point(line, p)) {
-        if (ck.version >= 2) {
-          bool duplicate_ok = false;
-          bool seen = false;
-          for (auto& [id, outcome] : latest) {
-            if (id != p.id) continue;
-            seen = true;
-            duplicate_ok = outcome == Outcome::kOk;
-            outcome = p.outcome;  // degraded records may be superseded
-            break;
-          }
-          if (duplicate_ok) {
-            std::fclose(f);
-            throw InvalidArgument(
-                "load_checkpoint: '" + path + "' holds a second record for "
-                "point '" + p.id + "', which already has an ok record -- "
-                "two sweeps appear to have shared this checkpoint");
-          }
-          if (!seen) latest.emplace_back(p.id, p.outcome);
-        }
-        ck.points.push_back(std::move(p));
-      } else {
-        ++ck.dropped_records;  // torn append (SIGKILL mid-write) or damage
-      }
+      if (!seen) latest.emplace_back(p.id, p.outcome);
     }
-    line.clear();
-  }
-  std::fclose(f);
-  if (!saw_header) {
-    throw InvalidArgument("load_checkpoint: '" + path + "' is empty");
+    ck.points.push_back(std::move(p));
   }
   return ck;
 }

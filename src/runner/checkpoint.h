@@ -2,10 +2,11 @@
 //
 // A checkpoint is a text file: one header line declaring the format
 // version and the sweep name, then one self-checksummed record per
-// completed point. Records are appended (and flushed) as points finish,
-// so the file is crash-consistent by construction: a SIGKILL can at
-// worst truncate the final record, which the loader detects via its
-// CRC-32 and drops, keeping every earlier point. Metric values are
+// completed point. Each record is appended with one write(2) as its
+// point finishes (obs::AppendFile), so a SIGKILL lands between records.
+// Only a short write (disk full) can leave a partial final record,
+// which the loader detects via its CRC-32 and drops, keeping every
+// earlier point. Metric values are
 // stored as C99 hex-floats, so a resumed sweep reproduces prior numbers
 // bit-exactly.
 //
@@ -37,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/append_file.h"
 #include "runner/outcome.h"
 
 namespace performa::runner {
@@ -73,21 +75,21 @@ struct SweepCheckpoint {
 /// CRC-32 (IEEE 802.3, reflected) of `data`.
 std::uint32_t crc32(std::string_view data);
 
-/// Create `path` with a fresh v2 header when it does not exist; when it
-/// does, validate that the header carries a supported version and this
-/// sweep name (resuming a different sweep into the file is almost
-/// certainly a mistake). Throws InvalidArgument on mismatch,
-/// NumericalError on I/O failure.
-void open_checkpoint(const std::string& path, const std::string& sweep_name);
+/// Open `path` for appending point records, creating it with a fresh v2
+/// header when it is absent or empty. An existing header must carry a
+/// supported version and this sweep name (resuming a different sweep
+/// into the file is almost certainly a mistake). Throws InvalidArgument
+/// on mismatch, std::runtime_error on I/O failure.
+obs::AppendFile open_checkpoint(const std::string& path,
+                                const std::string& sweep_name);
 
-/// Append one point record and flush it to disk. With `sync` the record
-/// is also fsync'd before the call returns: a flush only moves bytes
-/// into the kernel, so a *power-loss*-style kill can otherwise drop an
-/// arbitrary suffix of flushed records -- or, worse, persist a torn
-/// page whose prefix happens to parse. fsync closes that window at the
-/// cost of one disk round-trip per record; the daemon's cache journal
-/// defaults it on, high-throughput sweeps leave it off.
-void append_point(const std::string& path, const CheckpointPoint& point,
+/// Append one point record to a file from open_checkpoint. With `sync`
+/// the record is also fsync'd before the call returns: a write only
+/// moves bytes into the kernel, so a *power-loss*-style kill can
+/// otherwise drop an arbitrary suffix of written records -- or, worse,
+/// persist a torn page whose prefix happens to parse. fsync closes that
+/// window at the cost of one disk round-trip per record.
+void append_point(const obs::AppendFile& file, const CheckpointPoint& point,
                   bool sync = false);
 
 /// Load a v1 or v2 checkpoint. Corrupt or truncated records are counted

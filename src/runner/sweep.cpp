@@ -204,10 +204,10 @@ SweepResult run_sweep(const std::string& name,
   sweep_span.annotate("points", static_cast<std::uint64_t>(specs.size()));
   ProgressMeter progress(name, specs.size(), options.progress);
 
-  const bool checkpointing = !options.checkpoint_path.empty();
+  std::optional<obs::AppendFile> checkpoint;
   SweepCheckpoint prior;
-  if (checkpointing) {
-    open_checkpoint(options.checkpoint_path, name);
+  if (!options.checkpoint_path.empty()) {
+    checkpoint = open_checkpoint(options.checkpoint_path, name);
     if (options.resume) {
       prior = load_checkpoint(options.checkpoint_path);
       if (prior.dropped_records > 0) {
@@ -249,9 +249,8 @@ SweepResult run_sweep(const std::string& name,
     const double prev_ema = metrics.latency_ema.value();
     metrics.latency_ema.set(prev_ema == 0.0 ? elapsed
                                             : 0.8 * prev_ema + 0.2 * elapsed);
-    if (checkpointing) {
-      append_point(options.checkpoint_path, record,
-                   options.sync_checkpoint);
+    if (checkpoint) {
+      append_point(*checkpoint, record, options.sync_checkpoint);
     }
     progress.point_done(record, elapsed);
     const std::size_t index = record.index;

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "linalg/errors.h"
+#include "obs/fork.h"
 #include "obs/trace.h"
 
 namespace performa::runner {
@@ -148,8 +149,6 @@ WorkerHandle spawn_worker(const PointFn& fn) {
   WorkerHandle handle;
   handle.started = std::chrono::steady_clock::now();
 
-  handle.telemetry = obs::ForkHandoff::prepare();
-
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
@@ -164,7 +163,7 @@ WorkerHandle spawn_worker(const PointFn& fn) {
     // is harmless -- EOF is governed by write ends, and the parent
     // closes its copy of every write end right after forking.)
     ::close(fds[0]);
-    handle.telemetry.enter_child();
+    obs::ForkHandoff::enter_child();
     int code = kExitError;
     try {
       PointResult result;
@@ -224,8 +223,6 @@ WorkerReport reap_worker(WorkerHandle& worker, bool timed_out,
   }
   const int status = wait_for(worker.pid);
   worker.pid = -1;
-
-  worker.telemetry.absorb();
 
   WorkerReport report =
       classify_worker(worker.payload, status, timed_out, timeout_seconds);

@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/fork.h"
 #include "runner/outcome.h"
 
 namespace performa::runner {
@@ -56,7 +55,6 @@ struct WorkerHandle {
   std::string payload;     ///< bytes drained from the pipe so far
   bool eof = false;        ///< worker closed its end (exit or kill)
   std::chrono::steady_clock::time_point started{};
-  obs::ForkHandoff telemetry;  ///< worker's telemetry, absorbed on reap
 
   bool running() const noexcept { return pid > 0; }
 };

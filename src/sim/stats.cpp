@@ -121,55 +121,6 @@ double LogHistogram::tail(double x) const {
   return static_cast<double>(above) / static_cast<double>(count_);
 }
 
-BatchMeans::BatchMeans(std::size_t n_batches) : n_batches_(n_batches) {
-  PERFORMA_EXPECTS(n_batches >= 2, "BatchMeans: need at least 2 batches");
-}
-
-void BatchMeans::add(double level, double duration) {
-  if (!std::isfinite(level) || !std::isfinite(duration)) {
-    throw NonFiniteError("BatchMeans::add: non-finite level or duration");
-  }
-  PERFORMA_EXPECTS(duration >= 0.0, "BatchMeans: negative duration");
-  while (duration > 0.0) {
-    const double room = batch_duration_ - current_time_.value();
-    const double take = std::min(room, duration);
-    current_sum_.add(level * take);
-    current_time_.add(take);
-    duration -= take;
-    if (current_time_.value() >= batch_duration_) close_batch();
-  }
-}
-
-void BatchMeans::close_batch() {
-  means_.push_back(current_sum_.value() / current_time_.value());
-  current_sum_.reset();
-  current_time_.reset();
-  if (means_.size() >= 2 * n_batches_) {
-    // Merge adjacent pairs (equal durations, so plain averages) and
-    // double the batch length: keeps memory O(n_batches) while the run
-    // grows unboundedly.
-    std::vector<double> merged;
-    merged.reserve(n_batches_);
-    for (std::size_t i = 0; i + 1 < means_.size(); i += 2) {
-      merged.push_back(0.5 * (means_[i] + means_[i + 1]));
-    }
-    means_ = std::move(merged);
-    batch_duration_ *= 2.0;
-  }
-}
-
-std::size_t BatchMeans::complete_batches() const noexcept {
-  return means_.size();
-}
-
-ReplicationSummary BatchMeans::summary() const {
-  if (means_.size() < 2) {
-    throw NumericalError(
-        "BatchMeans::summary: fewer than 2 complete batches");
-  }
-  return summarize_replications(means_);
-}
-
 ReplicationSummary summarize_replications(const std::vector<double>& values) {
   PERFORMA_EXPECTS(!values.empty(),
                    "summarize_replications: need at least one replication");

@@ -112,40 +112,4 @@ class LogHistogram {
   std::size_t count_ = 0;
 };
 
-/// Batch-means estimator: a single long run is split into `n_batches`
-/// equal batches whose means are treated as (approximately) independent
-/// replications -- the classic alternative to independent replications
-/// when warm-up is expensive (heavy-tailed repair processes make it very
-/// expensive, Sec. 4 of the paper).
-class BatchMeans {
- public:
-  /// `n_batches` >= 2; 10..30 is customary.
-  explicit BatchMeans(std::size_t n_batches = 20);
-
-  /// Feed one (time-weighted) observation: level held for `duration`.
-  void add(double level, double duration);
-
-  /// Number of complete batches so far (the last partial batch is
-  /// excluded from summaries).
-  std::size_t complete_batches() const noexcept;
-
-  /// Summary over complete batch means; throws NumericalError if fewer
-  /// than 2 batches completed.
-  ReplicationSummary summary() const;
-
-  /// Target batch duration is adaptive: batches close when their total
-  /// time reaches total_time/n_batches of everything seen so far, via
-  /// doubling. Returns the current batch-duration target.
-  double batch_duration() const noexcept { return batch_duration_; }
-
- private:
-  void close_batch();
-
-  std::size_t n_batches_;
-  double batch_duration_ = 1.0;
-  linalg::CompensatedSum<double> current_sum_;   // integral over open batch
-  linalg::CompensatedSum<double> current_time_;  // time in the open batch
-  std::vector<double> means_;
-};
-
 }  // namespace performa::sim

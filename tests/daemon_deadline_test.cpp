@@ -45,18 +45,6 @@ TEST(DeadlineSolveTest, ExpiredDeadlineAbortsCooperativelyWithReport) {
   }
 }
 
-TEST(DeadlineSolveTest, CancellationIsObservedMidSolve) {
-  // cancel() (the watchdog's lever) trips the same cooperative path as
-  // wall-clock expiry.
-  core::ClusterParams params;
-  const core::ClusterModel model(params);
-  obs::Deadline deadline;  // unlimited, but cancellable
-  deadline.cancel();
-  obs::DeadlineScope scope(deadline);
-  EXPECT_THROW(model.solve(model.lambda_for_rho(0.7)),
-               qbd::DeadlineExceeded);
-}
-
 TEST(DeadlineSolveTest, RunnerClassifiesDeadlineExceeded) {
   runner::ClassifiedError classified;
   try {
@@ -132,8 +120,8 @@ TEST_F(EngineDegradationTest, ColdCacheDeadlineIsAnExplicitError) {
 TEST_F(EngineDegradationTest, SolverFailureAlsoDegradesToStale) {
   // Warm the cache, then ask for a refresh of a spec that now fails:
   // rho extremely close to 1 still solves, so instead drive failure by
-  // cancelling -- covered above -- and by an unstable refresh via a
-  // *different* key, which must NOT borrow this key's cache entry.
+  // an expired deadline -- covered above -- and by an unstable refresh
+  // via a *different* key, which must NOT borrow this key's cache entry.
   const std::string warm =
       handle_with_deadline(R"({"op":"mean","rho":0.5})", 60.0);
   ASSERT_NE(warm.find("\"ok\":true"), std::string::npos);

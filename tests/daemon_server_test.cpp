@@ -1,15 +1,19 @@
 // In-process tests of performad's socket server: liveness plane,
 // admission control (bounded queue, explicit overload shedding),
-// watchdog escalation on a wedged worker, SIGHUP-style config reload,
-// and clean drain. Uses the gated debug-sleep op to make timing
-// deterministic: a "stuck solve" is a sleep that ignores cancellation.
+// the loopback TCP listener, watchdog abandonment of a wedged worker,
+// SIGHUP-style config reload, and clean drain. Uses the gated
+// debug-sleep op to make timing deterministic: a "stuck solve" is a
+// sleep that ignores its deadline.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -48,6 +52,16 @@ class TestClient {
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, socket_path.c_str(),
                  sizeof addr.sun_path - 1);
+    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                       sizeof addr) == 0;
+  }
+  /// Connect to the loopback TCP listener on `port`.
+  explicit TestClient(int port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
                                        sizeof addr) == 0;
   }
@@ -163,6 +177,43 @@ TEST(DaemonServerTest, PingHealthReadyAndQueries) {
   EXPECT_EQ(fixture.exit_code(), 0);
 }
 
+// A loopback port that was free a moment ago: bind port 0 and read back
+// the port the kernel chose.
+int free_loopback_port() {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  int port = 0;
+  if (fd >= 0 &&
+      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+    port = ntohs(addr.sin_port);
+  }
+  if (fd >= 0) ::close(fd);
+  return port;
+}
+
+TEST(DaemonServerTest, AnswersPingOverLoopbackTcp) {
+  TempDir tmp;
+  DaemonConfig config = base_config(tmp);
+  config.tcp_port = free_loopback_port();
+  ASSERT_GT(config.tcp_port, 0);
+  const int port = config.tcp_port;
+  ServerFixture fixture(std::move(config));
+  ASSERT_TRUE(fixture.ready());
+
+  TestClient client(port);
+  ASSERT_TRUE(client.connected());
+  const std::string reply = client.roundtrip(R"({"op":"ping","id":"t"})");
+  EXPECT_TRUE(contains(reply, "\"ok\":true")) << reply;
+  EXPECT_TRUE(contains(reply, "\"id\":\"t\"")) << reply;
+
+  fixture.shutdown();
+  EXPECT_EQ(fixture.exit_code(), 0);
+}
+
 TEST(DaemonServerTest, ShedsExplicitlyPastTheWatermark) {
   TempDir tmp;
   ServerFixture fixture(base_config(tmp));  // 1 worker, queue of 2
@@ -229,10 +280,10 @@ TEST(DaemonServerTest, WatchdogAbandonsStuckWorkerAndRestoresCapacity) {
 
   TestClient client(tmp.path("daemon.sock"));
   ASSERT_TRUE(client.connected());
-  // A request that blows its 100ms deadline and ignores the stage-1
-  // cancel: the watchdog must abandon the worker at deadline+2*grace
-  // and answer the client with a deadline error -- long before the
-  // 2-second sleep finishes.
+  // A request that blows its 100ms deadline and ignores it: the
+  // watchdog must abandon the worker at deadline+2*grace and answer the
+  // client with a deadline error -- long before the 2-second sleep
+  // finishes.
   const auto t0 = std::chrono::steady_clock::now();
   const std::string response = client.roundtrip(
       R"({"op":"debug-sleep","seconds":2.0,"ignore_cancel":true,)"

@@ -1,9 +1,8 @@
 // The obs tracing/metrics subsystem: span nesting and balance (also
-// under exceptions), trace_event JSONL structure, the fork handoff of
-// trace fragments (torn tails, inherited spans), race-free counters,
+// under exceptions), trace_event JSONL structure, the append-only
+// record file, the fork handoff (inherited spans), race-free counters,
 // the Prometheus metrics file, and the disabled-mode no-output
 // guarantee.
-#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -11,13 +10,16 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/append_file.h"
 #include "obs/fork.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/trace.h"
@@ -57,14 +59,14 @@ std::string temp_path(const char* stem) {
   return path;
 }
 
-// Fork a child that enters `handoff`, runs `body`, and _exits 0 without
-// leaving (like a SIGKILL: nothing is flushed on the way out). Returns
-// the child's pid once it has been reaped.
+// Fork a child that enters the handoff, runs `body`, and _exits 0
+// without leaving (like a SIGKILL: nothing is flushed on the way out).
+// Returns the child's pid once it has been reaped.
 template <typename Body>
-pid_t run_forked_child(const ForkHandoff& handoff, Body body) {
+pid_t run_forked_child(Body body) {
   const pid_t pid = ::fork();
   if (pid == 0) {
-    handoff.enter_child();
+    ForkHandoff::enter_child();
     body();
     ::_exit(0);
   }
@@ -74,13 +76,13 @@ pid_t run_forked_child(const ForkHandoff& handoff, Body body) {
   return pid;
 }
 
-// Append raw bytes to `path` (a child writing past its sink).
-void append_bytes(const std::string& path, const std::string& bytes) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
-  if (fd >= 0) {
-    (void)!::write(fd, bytes.data(), bytes.size());
-    ::close(fd);
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
   }
+  return n;
 }
 
 TEST_F(ObsTest, SpanInertWhenDisabled) {
@@ -183,33 +185,85 @@ TEST_F(ObsTest, FileSinkWritesParsableTraceEventLines) {
   EXPECT_EQ(records, 1u);
 }
 
-TEST_F(ObsTest, MergeFragmentKeepsCompleteRecordsDropsTornTail) {
-  const std::string trace = temp_path("obs_frag");
-  enable_trace_file(trace);
-  ForkHandoff handoff = ForkHandoff::prepare();
-  run_forked_child(handoff, [] {
-    // The child's sink is its fragment: one complete record, then a
-    // record torn mid-write.
-    append_bytes(trace_file_path(),
-                 "{\"name\":\"worker.span\",\"ph\":\"X\",\"pid\":4242},\n"
-                 "{\"name\":\"torn.span\",\"ph\":\"X\",\"pi");
-  });
-  EXPECT_EQ(handoff.absorb(), 1u);
-  disable_trace();
-  const std::string text = read_file(trace);
-  EXPECT_NE(text.find("worker.span"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"pid\":4242"), std::string::npos);  // pid preserved
-  EXPECT_EQ(text.find("torn.span"), std::string::npos) << text;
-  // The fragment was consumed.
-  EXPECT_TRUE(testing::SiblingFiles(trace, ".frag.").empty());
+TEST_F(ObsTest, AppendFileWritesHeaderOnceAndReadsBackLongLines) {
+  const std::string path = temp_path("obs_append");
+  std::remove(path.c_str());
+  const std::string long_record(10000, 'r');  // past any fixed buffer
+  {
+    const AppendFile file(path, "head v1");
+    file.append("a\n" + long_record + "\n");
+    file.sync();
+  }
+  {
+    // Reopening a non-empty file appends after it: no second header.
+    const AppendFile file(path, "head v1");
+    file.append("b\r\n\n");
+  }
+  std::optional<RecordFile> read = read_record_file(path);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->header, "head v1");
+  EXPECT_EQ(read->records,
+            (std::vector<std::string>{"a", long_record, "b"}));
+  EXPECT_TRUE(read_record_file(path, /*header_only=*/true)->records.empty());
 
-  // A worker that never wrote its fragment (killed before its first
-  // flush) merges nothing.
-  enable_trace_file(trace);
-  ForkHandoff unwritten = ForkHandoff::prepare();
-  EXPECT_EQ(unwritten.absorb(), 0u);
-  disable_trace();
-  std::remove(trace.c_str());
+  // A torn last line is returned for the caller's checksum to reject.
+  AppendFile(path, "").append("torn");
+  EXPECT_EQ(read_record_file(path)->records.back(), "torn");
+
+  // truncate drops the old contents and writes the header afresh.
+  AppendFile(path, "head v2", /*truncate=*/true).append("c\n");
+  EXPECT_EQ(read_file(path), "head v2\nc\n");
+  std::remove(path.c_str());
+
+  EXPECT_FALSE(read_record_file(path).has_value());
+  EXPECT_THROW(AppendFile("/nonexistent-dir/f", "h"), std::runtime_error);
+  EXPECT_THROW(AppendFile("/dev/full", "").append("x\n"), std::runtime_error);
+}
+
+TEST_F(ObsTest, LogWriteErrorIsCountedNotThrown) {
+  // /dev/full opens fine and fails every write.
+  set_log_file("/dev/full");
+  PERFORMA_LOG(kError, "test.lost_line");
+  reset_log_for_test();
+  const MetricsSnapshot snap = snapshot_metrics();
+  const auto* errors = snap.find("obs.log.write_errors");
+  ASSERT_NE(errors, nullptr);
+  EXPECT_DOUBLE_EQ(errors->value, 1.0);
+}
+
+TEST_F(ObsTest, AppendFileSharedAcrossForkNeverSplitsRecords) {
+  // A forked child and its parent append large records to one inherited
+  // fd at the same time: every record lands whole.
+  const std::string path = temp_path("obs_append_fork");
+  std::remove(path.c_str());
+  constexpr int kRecords = 200;
+  {
+    const AppendFile file(path, "[");
+    const auto write_records = [&file](char tag) {
+      for (int i = 0; i < kRecords; ++i) {
+        file.append(std::string(1, '{') + std::string(6000, tag) + "}\n");
+      }
+    };
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      write_records('c');
+      ::_exit(0);
+    }
+    write_records('p');
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
+  const std::optional<RecordFile> read = read_record_file(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->header, "[");
+  ASSERT_EQ(read->records.size(), 2u * kRecords);
+  for (const std::string& record : read->records) {
+    ASSERT_EQ(record.size(), 6002u);
+    const char tag = record[1];
+    EXPECT_EQ(record, std::string(1, '{') + std::string(6000, tag) + "}");
+  }
 }
 
 TEST_F(ObsTest, CountersAreRaceFreeAcrossThreads) {
@@ -301,36 +355,30 @@ TEST_F(ObsTest, MetricsFileWriteErrorThrows) {
 
 TEST_F(ObsTest, ReopenInChildDiscardsInheritedSpans) {
   // Across a real fork: a span still sitting in the parent's
-  // thread-local buffer is inherited by the child, and must not land in
-  // the child's fragment (the parent flushes it itself).
-  const std::string trace = temp_path("obs_child_frag");
+  // thread-local buffer is inherited by the child, and must not be
+  // written by the child (the parent flushes it itself). The child's own
+  // span lands in the parent's trace through the inherited fd, under
+  // the child's pid.
+  const std::string trace = temp_path("obs_child_trace");
   enable_trace_file(trace);
   {
     PERFORMA_SPAN("parent.buffered");
   }
-  ForkHandoff handoff = ForkHandoff::prepare();
-  const pid_t child = run_forked_child(handoff, [] {
+  const pid_t child = run_forked_child([] {
     {
       PERFORMA_SPAN("child.own");
     }
     ForkHandoff::leave_child();
   });
-  EXPECT_EQ(handoff.absorb(), 1u);
   disable_trace();
   const std::string text = read_file(trace);
   std::remove(trace.c_str());
-  const auto count = [&text](const std::string& needle) {
-    std::size_t n = 0;
-    for (std::size_t at = text.find(needle); at != std::string::npos;
-         at = text.find(needle, at + 1)) {
-      ++n;
-    }
-    return n;
-  };
-  EXPECT_EQ(count("parent.buffered"), 1u) << text;
-  EXPECT_EQ(count("child.own"), 1u) << text;
+  EXPECT_EQ(text.rfind("[\n", 0), 0u) << text;
+  EXPECT_EQ(count_of(text, "parent.buffered"), 1u) << text;
+  EXPECT_EQ(count_of(text, "child.own"), 1u) << text;
   EXPECT_NE(text.find("\"pid\":" + std::to_string(child)), std::string::npos)
       << text;
+  EXPECT_TRUE(testing::SiblingFiles(trace, ".frag.").empty());
 }
 
 }  // namespace

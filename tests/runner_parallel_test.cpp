@@ -230,14 +230,14 @@ TEST(ParallelSweep, TimeoutDegradesOnePointOthersComplete) {
 TEST(ParallelCheckpoint, ShuffledRecordsResumeInFull) {
   const std::string path = TempPath("shuffled.ck");
   std::remove(path.c_str());
-  open_checkpoint(path, "shuffle-sweep");
+  const auto file = open_checkpoint(path, "shuffle-sweep");
   // Records land in an order no sequential sweep would produce.
   for (int i : {4, 0, 5, 2, 1, 3}) {
     CheckpointPoint p;
     p.index = static_cast<std::size_t>(i);
     p.id = PointId(i);
     p.metrics = DeterministicPoint(i).metrics;
-    append_point(path, p);
+    append_point(file, p);
   }
 
   std::vector<SweepPointSpec> specs;
@@ -270,13 +270,13 @@ TEST(ParallelCheckpoint, ShuffledRecordsResumeInFull) {
 TEST(ParallelCheckpoint, DuplicateOkRecordIsRejected) {
   const std::string path = TempPath("dup.ck");
   std::remove(path.c_str());
-  open_checkpoint(path, "dup-sweep");
+  const auto file = open_checkpoint(path, "dup-sweep");
   CheckpointPoint p;
   p.id = "p0";
   p.metrics = {{"v", 1.0}};
-  append_point(path, p);
+  append_point(file, p);
   p.metrics = {{"v", 2.0}};  // second ok record for the same id
-  append_point(path, p);
+  append_point(file, p);
   EXPECT_THROW(load_checkpoint(path), InvalidArgument);
   std::remove(path.c_str());
 }
@@ -284,16 +284,16 @@ TEST(ParallelCheckpoint, DuplicateOkRecordIsRejected) {
 TEST(ParallelCheckpoint, OkRecordSupersedesDegradedRecord) {
   const std::string path = TempPath("supersede.ck");
   std::remove(path.c_str());
-  open_checkpoint(path, "supersede-sweep");
+  const auto file = open_checkpoint(path, "supersede-sweep");
   CheckpointPoint bad;
   bad.id = "p0";
   bad.outcome = Outcome::kTimeout;
   bad.message = "first try hung";
-  append_point(path, bad);
+  append_point(file, bad);
   CheckpointPoint good;
   good.id = "p0";
   good.metrics = {{"v", 3.5}};
-  append_point(path, good);  // how a resumed retry is persisted
+  append_point(file, good);  // how a resumed retry is persisted
 
   const auto ck = load_checkpoint(path);
   EXPECT_EQ(ck.version, 2);
@@ -476,7 +476,14 @@ std::string PidOf(const std::string& line) {
   return line.substr(at + 6, line.find(',', at) - at - 6);
 }
 
-TEST(ParallelSweep, TraceMergesWorkerFragmentsWithDistinctPids) {
+// The `"tid":N` value of one log line.
+std::string TidOf(const std::string& line) {
+  const std::size_t at = line.find("\"tid\":");
+  if (at == std::string::npos) return "";
+  return line.substr(at + 6, line.find_first_of(",}", at) - at - 6);
+}
+
+TEST(ParallelSweep, WorkersAppendToSharedTraceWithDistinctPids) {
   // Every sink a worker can write to at once: a trace file, a log file,
   // and a flight recorder.
   const std::string trace = TempPath("trace.jsonl");
@@ -486,6 +493,9 @@ TEST(ParallelSweep, TraceMergesWorkerFragmentsWithDistinctPids) {
   std::remove(log.c_str());
   obs::enable_trace_file(trace);
   obs::set_log_file(log);
+  // The supervisor's thread logs before it forks: its workers must not
+  // inherit its tid.
+  PERFORMA_LOG(kInfo, "test.supervisor.start");
   ASSERT_TRUE(obs::init_flight(flight));
   const std::string parent_flight = obs::flight_path();
   std::vector<SweepPointSpec> specs = DeterministicSpecs(8);
@@ -503,8 +513,8 @@ TEST(ParallelSweep, TraceMergesWorkerFragmentsWithDistinctPids) {
   obs::reset_log_for_test();
   ASSERT_EQ(sweep.points.size(), 8u);
 
-  // One file per sink: the trace fragments were consumed on reap, and
-  // the log has none (workers append to the inherited fd).
+  // One file per sink: workers append to the inherited trace and log
+  // fds, so no per-worker file is ever made.
   EXPECT_TRUE(testing::SiblingFiles(trace, ".frag.").empty());
   EXPECT_TRUE(testing::SiblingFiles(log, ".frag.").empty());
   // Clean worker exits remove their flight files; the parent's stays.
@@ -546,9 +556,9 @@ TEST(ParallelSweep, TraceMergesWorkerFragmentsWithDistinctPids) {
   EXPECT_GE(records, 17u);  // 8 worker + 8 parent point spans + the sweep
   EXPECT_EQ(worker_spans, 8u);
   EXPECT_EQ(parent_spans, 8u);
-  // A -j4 pool forks one process per point: the merged timeline must
+  // A -j4 pool forks one process per point: the shared timeline must
   // show the supervisor plus several distinct worker pids.
-  EXPECT_GE(pids.size(), 3u) << "want distinct worker pids in the merge";
+  EXPECT_GE(pids.size(), 3u) << "want distinct worker pids in the trace";
 
   // Each worker's log line lands in the parent's log under its own pid.
   std::ifstream log_in(log);
@@ -559,6 +569,7 @@ TEST(ParallelSweep, TraceMergesWorkerFragmentsWithDistinctPids) {
     }
     EXPECT_NE(PidOf(line), self) << line;
     EXPECT_TRUE(pids.count(PidOf(line)) == 1) << line;
+    EXPECT_EQ(TidOf(line), PidOf(line)) << line;  // a worker's one thread
     logged_points.insert(line.substr(line.find("\"point\":")));
   }
   EXPECT_EQ(logged_points.size(), 8u);

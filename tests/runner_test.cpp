@@ -145,14 +145,14 @@ TEST(Checkpoint, CodecRejectsCorruption) {
 TEST(Checkpoint, AppendLoadRoundTripAndAppendsWin) {
   const std::string path = TempPath("roundtrip.ck");
   std::remove(path.c_str());
-  open_checkpoint(path, "unit-sweep");
+  const auto file = open_checkpoint(path, "unit-sweep");
 
   CheckpointPoint ok;
   ok.index = 0;
   ok.id = "p0";
   ok.metrics = {{"v", 0.1234567890123456789}};
   ok.rng_state = "999 888";
-  append_point(path, ok);
+  append_point(file, ok);
 
   CheckpointPoint bad;
   bad.index = 1;
@@ -160,7 +160,7 @@ TEST(Checkpoint, AppendLoadRoundTripAndAppendsWin) {
   bad.outcome = Outcome::kSolverFailure;
   bad.attempts = 1;
   bad.message = "logarithmic reduction failed";
-  append_point(path, bad);
+  append_point(file, bad);
 
   // A later record for p1 supersedes the degraded one.
   CheckpointPoint redo = bad;
@@ -168,7 +168,7 @@ TEST(Checkpoint, AppendLoadRoundTripAndAppendsWin) {
   redo.attempts = 1;
   redo.message.clear();
   redo.metrics = {{"v", 2.5}};
-  append_point(path, redo);
+  append_point(file, redo);
 
   const auto ck = load_checkpoint(path);
   EXPECT_EQ(ck.sweep_name, "unit-sweep");
@@ -194,19 +194,19 @@ TEST(Checkpoint, SyncedAppendIsDurableAndLoadsBack) {
   // later async appends in the same file.
   const std::string path = TempPath("synced.ck");
   std::remove(path.c_str());
-  open_checkpoint(path, "sync-sweep");
+  const auto file = open_checkpoint(path, "sync-sweep");
 
   CheckpointPoint p;
   p.index = 0;
   p.id = "durable";
   p.metrics = {{"v", 0.3333333333333333}};
-  append_point(path, p, /*sync=*/true);
+  append_point(file, p, /*sync=*/true);
 
   CheckpointPoint q;
   q.index = 1;
   q.id = "buffered";
   q.metrics = {{"v", 1.5}};
-  append_point(path, q, /*sync=*/false);
+  append_point(file, q, /*sync=*/false);
 
   const auto ck = load_checkpoint(path);
   EXPECT_EQ(ck.dropped_records, 0u);
@@ -219,14 +219,14 @@ TEST(Checkpoint, SyncedAppendIsDurableAndLoadsBack) {
 TEST(Checkpoint, LoaderDropsTornAndCorruptTail) {
   const std::string path = TempPath("torn.ck");
   std::remove(path.c_str());
-  open_checkpoint(path, "torn-sweep");
+  const auto file = open_checkpoint(path, "torn-sweep");
   CheckpointPoint p;
   p.id = "good";
   p.metrics = {{"v", 1.0}};
-  append_point(path, p);
+  append_point(file, p);
   {
-    // Simulate a SIGKILL mid-append: a record missing its tail, then a
-    // line of garbage.
+    // Simulate a short write (disk full) mid-append: a record missing
+    // its tail.
     std::ofstream out(path, std::ios::app);
     out << "P deadbeef 1|torn|ok|1|||v=0x1.8p+";  // truncated, no newline
   }
@@ -243,6 +243,23 @@ TEST(Checkpoint, HeaderGuardsSweepIdentity) {
   open_checkpoint(path, "sweep-a");
   open_checkpoint(path, "sweep-a");  // idempotent reopen is fine
   EXPECT_THROW(open_checkpoint(path, "sweep-b"), InvalidArgument);
+
+  // A header of any length reads back whole: a 600-char sweep name
+  // reopens and resumes its own checkpoint.
+  const std::string long_name(600, 'x');
+  std::remove(path.c_str());
+  {
+    const auto file = open_checkpoint(path, long_name);
+    CheckpointPoint p;
+    p.id = "p0";
+    p.metrics = {{"v", 1.0}};
+    append_point(file, p);
+  }
+  open_checkpoint(path, long_name);
+  EXPECT_THROW(open_checkpoint(path, long_name + "y"), InvalidArgument);
+  const auto ck = load_checkpoint(path);
+  EXPECT_EQ(ck.sweep_name, long_name);
+  EXPECT_EQ(ck.points.size(), 1u);
 
   const std::string junk = TempPath("junk.ck");
   {

@@ -101,42 +101,6 @@ TEST(ReplicationSummary, SingleValueNoCi) {
   EXPECT_THROW(summarize_replications({}), InvalidArgument);
 }
 
-TEST(BatchMeans, ConstantLevelGivesZeroVariance) {
-  BatchMeans bm(4);
-  bm.add(3.0, 100.0);
-  ASSERT_GE(bm.complete_batches(), 2u);
-  const auto s = bm.summary();
-  EXPECT_NEAR(s.mean, 3.0, 1e-12);
-  EXPECT_NEAR(s.ci_halfwidth, 0.0, 1e-10);
-}
-
-TEST(BatchMeans, MergesAndBoundsMemory) {
-  BatchMeans bm(4);
-  // Feed far more than 8 batch durations; batch count must stay < 8.
-  for (int i = 0; i < 1000; ++i) bm.add(i % 2, 1.0);
-  EXPECT_LT(bm.complete_batches(), 8u);
-  EXPECT_GT(bm.batch_duration(), 1.0);
-  EXPECT_NEAR(bm.summary().mean, 0.5, 0.05);
-}
-
-TEST(BatchMeans, CiCoversIidMean) {
-  // Alternating exponential levels: time-average = 0.5 between levels 0/1.
-  Rng rng(21);
-  BatchMeans bm(16);
-  std::exponential_distribution<double> exp1(1.0);
-  for (int i = 0; i < 200000; ++i) bm.add(i % 2, exp1(rng));
-  const auto s = bm.summary();
-  EXPECT_NEAR(s.mean, 0.5, 3.0 * std::max(s.ci_halfwidth, 1e-3));
-  EXPECT_GT(s.ci_halfwidth, 0.0);
-}
-
-TEST(BatchMeans, Validation) {
-  EXPECT_THROW(BatchMeans(1), InvalidArgument);
-  BatchMeans bm(4);
-  EXPECT_THROW(bm.add(1.0, -1.0), InvalidArgument);
-  EXPECT_THROW(bm.summary(), NumericalError);  // nothing observed yet
-}
-
 TEST(RandomSamplers, ExponentialMean) {
   Rng rng(7);
   auto s = exponential_sampler(2.0);
@@ -227,14 +191,6 @@ TEST(NonFiniteGuards, TimeWeightedStatsRejectsNonFiniteDuration) {
                NonFiniteError);
   EXPECT_DOUBLE_EQ(t.total_time(), 2.0);
   EXPECT_DOUBLE_EQ(t.mean(), 1.0);
-}
-
-TEST(NonFiniteGuards, BatchMeansRejectsNonFinite) {
-  BatchMeans b(4);
-  b.add(1.0, 1.0);
-  EXPECT_THROW(b.add(std::nan(""), 1.0), NonFiniteError);
-  EXPECT_THROW(b.add(1.0, std::numeric_limits<double>::infinity()),
-               NonFiniteError);
 }
 
 TEST(NonFiniteGuards, LogHistogramRejectsNan) {

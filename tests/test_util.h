@@ -61,8 +61,8 @@ inline linalg::Matrix RandomGenerator(std::size_t n, unsigned seed) {
 }
 
 /// Names of the files beside `path` that start with its file name
-/// followed by `infix` -- e.g. ".frag." finds fork fragments that were
-/// never absorbed, ".flight." the flight files under a prefix.
+/// followed by `infix` -- e.g. ".frag." finds per-worker copies of a
+/// shared file, ".flight." the flight files under a prefix.
 inline std::vector<std::string> SiblingFiles(const std::string& path,
                                              const std::string& infix) {
   const std::filesystem::path p(path);
