@@ -40,9 +40,7 @@ int main() {
 
   // Each rho is one supervised point (the expensive stage of this figure
   // is simulation, so the per-point timeout/retry protection and
-  // checkpoint reuse matter most here). The worker also reports the
-  // final RNG-stream position of the M/MMPP/1 run, persisted in the
-  // checkpoint for replay audits.
+  // checkpoint reuse matter most here).
   std::vector<runner::SweepPointSpec> points;
   for (double rho = 0.1; rho < 0.95; rho += 0.1) {
     char id[32];
@@ -66,7 +64,6 @@ int main() {
       const auto mmpp_sim =
           sim::simulate_mmpp_queue(model.aggregate().mmpp(), mq);
       out.metrics.emplace_back("sim_mmpp", mmpp_sim.mean_queue_length);
-      out.rng_state = mmpp_sim.final_rng_state;
 
       // Multiprocessor simulation.
       sim::ClusterSimConfig cs;

@@ -230,7 +230,6 @@ int CmdSweep(int argc, char** argv, const Flags& flags) {
         cfg.seed = sim::derive_seed(4242, index);
         const auto res = sim::simulate_cluster(cfg);
         out.metrics.emplace_back("sim_mean_ql", res.mean_queue_length);
-        out.rng_state = res.final_rng_state;
       }
       return out;
     }});

@@ -133,9 +133,7 @@ std::string encode_point(const CheckpointPoint& point) {
   payload += std::to_string(point.attempts);
   payload += '|';
   payload += sanitize(point.message, "|");
-  payload += '|';
-  payload += sanitize(point.rng_state, "|");
-  payload += '|';
+  payload += "||";  // <rng>: written empty
   for (std::size_t i = 0; i < point.metrics.size(); ++i) {
     if (i > 0) payload += ',';
     payload += sanitize(point.metrics[i].first, "|,=");
@@ -170,7 +168,7 @@ bool decode_point(const std::string& line, CheckpointPoint& out) {
   if (!parse_size(fields[3], attempts)) return false;
   p.attempts = static_cast<unsigned>(attempts);
   p.message = fields[4];
-  p.rng_state = fields[5];
+  // fields[5] (<rng>) is ignored: older writers stored an RNG state there.
   if (!fields[6].empty()) {
     for (const std::string& pair : split(fields[6], ',')) {
       const std::size_t eq = pair.find('=');

@@ -13,9 +13,11 @@
 //   performa-checkpoint v2 <sweep-name>
 //   P <crc32-hex> <index>|<id>|<outcome>|<attempts>|<message>|<rng>|<metrics>
 //
-// <metrics> is `name=hexfloat` pairs joined with ','. The CRC covers
-// everything after the "P <crc32-hex> " prefix. Golden-result files use
-// the same format: a verified checkpoint *is* a golden file.
+// <metrics> is `name=hexfloat` pairs joined with ','. <rng> is written
+// empty and ignored on read (older writers stored a simulator RNG state
+// there, so their files still load). The CRC covers everything after the
+// "P <crc32-hex> " prefix. Golden-result files use the same format: a
+// verified checkpoint *is* a golden file.
 //
 // Version history (record format is identical in both):
 //   v1  written by the sequential runner: records land in request
@@ -53,7 +55,6 @@ struct CheckpointPoint {
   Outcome outcome = Outcome::kOk;
   unsigned attempts = 1;   ///< executions consumed (retries included)
   std::string message;     ///< diagnostics for degraded points
-  std::string rng_state;   ///< simulator RNG-stream position (optional)
   /// Metric values in emission order; empty for degraded points.
   std::vector<std::pair<std::string, double>> metrics;
 

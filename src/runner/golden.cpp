@@ -7,17 +7,14 @@
 
 namespace performa::runner {
 
-double GoldenTolerances::tolerance_for(
-    const std::string& metric) const noexcept {
-  for (const auto& [name, tol] : per_metric) {
-    if (name == metric) return tol;
-  }
-  return default_rel_tol;
-}
+namespace {
+
+constexpr double kRelTol = 1e-12;
+
+}  // namespace
 
 GoldenReport compare_to_golden(const SweepCheckpoint& golden,
-                               const SweepCheckpoint& actual,
-                               const GoldenTolerances& tol) {
+                               const SweepCheckpoint& actual) {
   GoldenReport report;
   std::set<std::string> seen;  // duplicates in the golden count once
   for (const CheckpointPoint& g : golden.points) {
@@ -49,14 +46,12 @@ GoldenReport compare_to_golden(const SweepCheckpoint& golden,
       }
       ++report.metrics_compared;
       const double abs_err = std::fabs(value - expected);
-      if (abs_err <= tol.abs_floor) continue;
+      if (abs_err == 0.0) continue;
       if (std::isnan(expected) && std::isnan(value)) continue;
       const double scale = std::fabs(expected);
-      const double rel =
-          scale > 0.0 ? abs_err / scale
-                      : (abs_err == 0.0 ? 0.0
-                                        : std::numeric_limits<double>::infinity());
-      if (!(rel <= tol.tolerance_for(name))) {
+      const double rel = scale > 0.0 ? abs_err / scale
+                                     : std::numeric_limits<double>::infinity();
+      if (!(rel <= kRelTol)) {
         report.diffs.push_back(
             {GoldenDiff::Kind::kValue, g.id, name, expected, value, rel});
       }

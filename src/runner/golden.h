@@ -2,31 +2,17 @@
 //
 // A golden file is simply a checkpoint that has been reviewed and
 // committed; comparing a fresh sweep against it turns "the numbers
-// moved" into a structured report with per-metric relative tolerances
-// instead of an eyeball diff of CSV dumps.
+// moved" into a structured report instead of an eyeball diff of CSV
+// dumps. Every metric is held to one relative tolerance, 1e-12: a correct
+// resume is bit-exact, so the comparison is tight on purpose.
 #pragma once
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "runner/checkpoint.h"
 
 namespace performa::runner {
-
-struct GoldenTolerances {
-  /// Relative tolerance applied to any metric without an override.
-  /// The default is intentionally tight: a correct resume is bit-exact,
-  /// so golden comparisons should only be loosened on purpose.
-  double default_rel_tol = 1e-12;
-  /// Absolute slack: |actual - expected| <= abs_floor always passes
-  /// (guards metrics whose golden value is exactly 0).
-  double abs_floor = 0.0;
-  /// Per-metric overrides of the relative tolerance.
-  std::vector<std::pair<std::string, double>> per_metric;
-
-  double tolerance_for(const std::string& metric) const noexcept;
-};
 
 /// One disagreement between golden and actual.
 struct GoldenDiff {
@@ -57,7 +43,6 @@ struct GoldenReport {
 /// (outcome != ok) only require the outcome to match; extra points in
 /// the actual sweep are ignored (supersets are fine).
 GoldenReport compare_to_golden(const SweepCheckpoint& golden,
-                               const SweepCheckpoint& actual,
-                               const GoldenTolerances& tol = {});
+                               const SweepCheckpoint& actual);
 
 }  // namespace performa::runner

@@ -26,6 +26,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Wind-down grace period: after SIGINT/SIGTERM, in-flight workers may run
+// this many more seconds (their results are still recorded) before being
+// SIGKILLed.
+constexpr double kDrainGraceSeconds = 5.0;
+// Seed for the deterministic retry-backoff jitter.
+constexpr std::uint64_t kBackoffSeed = 0x9e3779b9ULL;
+
 std::atomic<bool> g_interrupted{false};
 
 void on_signal(int signo) {
@@ -184,8 +191,6 @@ SweepResult run_sweep(const std::string& name,
   options.retry.validate();
   PERFORMA_EXPECTS(options.timeout_seconds >= 0.0,
                    "run_sweep: timeout must be >= 0");
-  PERFORMA_EXPECTS(options.drain_grace_seconds >= 0.0,
-                   "run_sweep: drain grace must be >= 0");
   PERFORMA_EXPECTS(!options.resume || !options.checkpoint_path.empty(),
                    "run_sweep: resume needs a checkpoint path");
   {
@@ -323,7 +328,7 @@ SweepResult run_sweep(const std::string& name,
         metrics.retries.add(1);
         const double backoff = options.retry.backoff_seconds(
             slot.attempt,
-            sim::derive_seed(options.backoff_seed, slot.index));
+            sim::derive_seed(kBackoffSeed, slot.index));
         slot.state = Slot::State::kBackoff;
         slot.deadline =
             Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -337,10 +342,7 @@ SweepResult run_sweep(const std::string& name,
     record.outcome = report.outcome;
     record.attempts = slot.attempt;
     record.message = report.message;
-    if (report.outcome == Outcome::kOk) {
-      record.metrics = report.result.metrics;
-      record.rng_state = report.result.rng_state;
-    }
+    if (report.outcome == Outcome::kOk) record.metrics = report.result.metrics;
     if (slot.span) {
       slot.span->annotate("outcome", to_string(record.outcome));
       slot.span->annotate("attempts",
@@ -359,7 +361,7 @@ SweepResult run_sweep(const std::string& name,
       drain_deadline =
           Clock::now() +
           std::chrono::duration_cast<Clock::duration>(
-              std::chrono::duration<double>(options.drain_grace_seconds));
+              std::chrono::duration<double>(kDrainGraceSeconds));
       for (Slot& slot : slots) {
         // A point waiting out a backoff has no work in flight worth
         // draining: abandon it, resume will re-run it.

@@ -59,12 +59,6 @@ struct SweepOptions {
   /// and output of the pre-parallel runner, byte for byte); 0 = one per
   /// hardware thread.
   unsigned jobs = 1;
-  /// Wind-down grace period: after SIGINT/SIGTERM, in-flight workers
-  /// may run this many more seconds (their results are still recorded)
-  /// before being SIGKILLed.
-  double drain_grace_seconds = 5.0;
-  /// Seed for the deterministic retry-backoff jitter.
-  std::uint64_t backoff_seed = 0x9e3779b9ULL;
   /// One compact stderr line per *completed* point (id, outcome,
   /// attempts, seconds), in completion order: long parallel sweeps stay
   /// observable without tailing the checkpoint.

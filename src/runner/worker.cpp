@@ -13,6 +13,7 @@
 #include <string>
 
 #include "linalg/errors.h"
+#include "obs/append_file.h"
 #include "obs/fork.h"
 #include "obs/trace.h"
 
@@ -24,19 +25,6 @@ std::string hex_double(double v) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%a", v);
   return buf;
-}
-
-// write(2) the whole buffer, resuming across EINTR and partial writes.
-void write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // reader is gone; the exit code still tells the story
-    }
-    off += static_cast<std::size_t>(n);
-  }
 }
 
 int wait_for(pid_t pid) {
@@ -100,11 +88,6 @@ std::string encode_result(const PointResult& result) {
     out += hex_double(value);
     out += '\n';
   }
-  if (!result.rng_state.empty()) {
-    out += "rng ";
-    out += result.rng_state;
-    out += '\n';
-  }
   out += "ok\n";
   return out;
 }
@@ -130,8 +113,6 @@ bool decode_result(const std::string& payload, PointResult& out) {
       const double value = std::strtod(text.c_str(), &end);
       if (name.empty() || end != text.c_str() + text.size()) return false;
       r.metrics.emplace_back(name, value);
-    } else if (line.rfind("rng ", 0) == 0) {
-      r.rng_state = line.substr(4);
     } else {
       return false;
     }
@@ -171,12 +152,18 @@ WorkerHandle spawn_worker(const PointFn& fn) {
         obs::Span span("runner.worker.point");
         result = fn();
       }
-      write_all(fds[1], encode_result(result));
+      obs::write_all(fds[1], encode_result(result), "worker result pipe");
       code = kExitOk;
     } catch (...) {
+      // A failed result write lands here too: kExitError, a crash.
       const ClassifiedError e = classify_current_exception();
-      write_all(fds[1], "error " + e.message + "\n");
       code = e.exit_code;
+      try {
+        obs::write_all(fds[1], "error " + e.message + "\n",
+                       "worker result pipe");
+      } catch (...) {
+        // The supervisor is gone; the exit code still tells the story.
+      }
     }
     obs::ForkHandoff::leave_child();
     ::close(fds[1]);

@@ -27,11 +27,9 @@
 namespace performa::runner {
 
 /// What one experiment point computes: named metric values in emission
-/// order, plus (optionally) the simulator RNG-stream position consumed,
-/// which the checkpoint layer persists for replay audits.
+/// order.
 struct PointResult {
   std::vector<std::pair<std::string, double>> metrics;
-  std::string rng_state;
 };
 
 /// Computes one point. Runs inside the forked worker, so it must not

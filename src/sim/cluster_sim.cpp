@@ -69,23 +69,13 @@ void ClusterSimConfig::validate() const {
   PERFORMA_EXPECTS(spares == 0 || repair_crews > 0,
                    "ClusterSimConfig: spares require a repair facility "
                    "(repair_crews > 0)");
-  if (resume_from) {
-    PERFORMA_EXPECTS(resume_from->servers.size() == n_servers,
-                     "ClusterSimConfig: resume snapshot was taken with a "
-                     "different number of servers");
-    PERFORMA_EXPECTS(resume_from->crew_done.size() == repair_crews,
-                     "ClusterSimConfig: resume snapshot was taken with a "
-                     "different repair-crew count");
-  }
   faults.validate();
 }
 
 ClusterSimResult simulate_cluster(const ClusterSimConfig& config) {
   obs::Span span("sim.cluster.run");
   config.validate();
-  const bool resuming = config.resume_from != nullptr;
-  Rng rng = resuming ? restore_rng_state(config.resume_from->rng_state)
-                     : Rng(config.seed);
+  Rng rng(config.seed);
   const auto wall_start = std::chrono::steady_clock::now();
 
   const unsigned n = config.n_servers;
@@ -139,7 +129,6 @@ ClusterSimResult simulate_cluster(const ClusterSimConfig& config) {
   std::size_t spares_avail = facility ? config.spares : 0;
 
   ClusterSimResult result;
-  result.queue_stats = TimeWeightedStats(config.histogram_cap);
   TimeWeightedStats& stats = result.queue_stats;
 
   std::size_t cycles_done = 0;  // completed DOWN->UP transitions
@@ -156,80 +145,10 @@ ClusterSimResult simulate_cluster(const ClusterSimConfig& config) {
   std::size_t crash_next = 0;
   std::size_t burst_next = 0;
 
-  if (resuming) {
-    // Restore every piece of loop state from the snapshot; the RNG was
-    // already restored above, so the replay continues the exact stream.
-    const ClusterSimState& st = *config.resume_from;
-    result = st.partial;
-    result.paused = false;
-    result.state.reset();
-    result.degraded = false;
-    result.degraded_reason.clear();
-    result.final_rng_state.clear();
-    now = st.now;
-    next_arrival = st.next_arrival;
-    warm = st.warm;
-    warm_start = st.warm_start;
-    cycles_done = st.cycles_done;
-    crash_next = st.crash_next;
-    burst_next = st.burst_next;
-    for (unsigned i = 0; i < n; ++i) {
-      const ClusterServerState& ss = st.servers[i];
-      servers[i].up = ss.up;
-      servers[i].next_toggle = ss.next_toggle;
-      servers[i].last_update = ss.last_update;
-      if (ss.busy) {
-        servers[i].task = Task{ss.task.remaining, ss.task.total,
-                               ss.task.arrival};
-      }
-    }
-    for (const ClusterTaskState& ts : st.queue) {
-      queue.push_back(Task{ts.remaining, ts.total, ts.arrival});
-    }
-    crew_done = st.crew_done;  // size validated against repair_crews
-    waiting = st.waiting;
-    spares_avail = st.spares_avail;
-  } else {
-    for (Server& s : servers) {
-      s.next_toggle = draw_duration(config.up, "uptime (TTF)");
-    }
-    next_arrival = draw_interarrival();
+  for (Server& s : servers) {
+    s.next_toggle = draw_duration(config.up, "uptime (TTF)");
   }
-
-  // Snapshot the complete loop state at an event boundary; resuming from
-  // it replays the remaining trajectory bit-identically.
-  auto snapshot = [&]() {
-    auto st = std::make_shared<ClusterSimState>();
-    st->rng_state = save_rng_state(rng);
-    st->now = now;
-    st->next_arrival = next_arrival;
-    st->warm = warm;
-    st->warm_start = warm_start;
-    st->cycles_done = cycles_done;
-    st->crash_next = crash_next;
-    st->burst_next = burst_next;
-    st->servers.reserve(n);
-    for (const Server& s : servers) {
-      ClusterServerState ss;
-      ss.up = s.up;
-      ss.next_toggle = s.next_toggle;
-      ss.last_update = s.last_update;
-      ss.busy = s.task.has_value();
-      if (s.task) ss.task = {s.task->remaining, s.task->total, s.task->arrival};
-      st->servers.push_back(ss);
-    }
-    st->queue.reserve(queue.size());
-    for (const Task& t : queue) {
-      st->queue.push_back({t.remaining, t.total, t.arrival});
-    }
-    st->crew_done = crew_done;
-    st->waiting = waiting;
-    st->spares_avail = spares_avail;
-    st->partial = result;       // counters + statistics so far
-    st->partial.state.reset();  // snapshots never nest
-    st->partial.paused = false;
-    return st;
-  };
+  next_arrival = draw_interarrival();
 
   // A server can serve iff UP, or DOWN with nonzero degraded speed.
   auto can_serve = [&](const Server& s) { return s.up || !crash; };
@@ -359,9 +278,8 @@ ClusterSimResult simulate_cluster(const ClusterSimConfig& config) {
   };
 
   // Degenerate scenario: an infinite-work task pins one server forever
-  // (its completion time is +inf by construction). Already part of the
-  // snapshot when resuming.
-  if (config.faults.infinite_first_task && !resuming) {
+  // (its completion time is +inf by construction).
+  if (config.faults.infinite_first_task) {
     Task t;
     t.remaining = t.total = kInf;
     t.arrival = 0.0;
@@ -391,14 +309,6 @@ ClusterSimResult simulate_cluster(const ClusterSimConfig& config) {
 
   const std::size_t total_cycles = config.warmup_cycles + config.cycles;
   while (cycles_done < total_cycles) {
-    // Pause (checked before the budget so a paused run is never marked
-    // degraded) at an event boundary: nothing is half-processed, so the
-    // snapshot plus the remaining config replays the rest bit-exactly.
-    if (config.pause_after_events != 0 &&
-        result.events >= config.pause_after_events) {
-      result.paused = true;
-      break;
-    }
     if (const char* reason = budget_tripped()) {
       result.degraded = true;
       result.degraded_reason = reason;
@@ -591,8 +501,6 @@ ClusterSimResult simulate_cluster(const ClusterSimConfig& config) {
     result.mean_queue_length = stats.mean();
     result.probability_empty = stats.pmf(0);
   }
-  result.final_rng_state = save_rng_state(rng);
-  if (result.paused) result.state = snapshot();
 
   // Observability is batch-added here, off the event loop: the hot path
   // above pays nothing for it. Counters are cumulative across runs in
@@ -613,7 +521,6 @@ ClusterSimResult simulate_cluster(const ClusterSimConfig& config) {
     span.annotate("events", static_cast<std::uint64_t>(result.events));
     span.annotate("cycles", static_cast<std::uint64_t>(result.cycles));
     if (result.degraded) span.annotate("degraded", result.degraded_reason);
-    if (result.paused) span.annotate("paused", 1.0);
   }
   return result;
 }

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,8 +35,6 @@ enum class FailureStrategy {
 };
 
 const char* to_string(FailureStrategy s) noexcept;
-
-struct ClusterSimState;  // full mid-run snapshot, defined below
 
 /// Simulation parameters. Durations come from type-erased samplers so any
 /// distribution (phase-type or not) can be plugged in.
@@ -76,7 +73,6 @@ struct ClusterSimConfig {
   std::size_t warmup_cycles = 2000;
 
   std::uint64_t seed = 1;
-  std::size_t histogram_cap = 4096;
 
   /// Deterministic fault-injection plan (empty by default). Scheduled
   /// events fire at exact simulated times, so runs stay reproducible per
@@ -87,18 +83,6 @@ struct ClusterSimConfig {
   /// scenario makes the system unstable).
   SimBudget budget;
 
-  /// Pause the run (instead of finishing) once the *cumulative* event
-  /// count reaches this value, returning a resumable snapshot in
-  /// ClusterSimResult::state. 0 disables pausing. On resume the counter
-  /// keeps its old value, so raise (or zero) this before resuming.
-  std::size_t pause_after_events = 0;
-  /// Resume from a snapshot taken by a paused run instead of starting
-  /// fresh. The config must otherwise be identical to the original run
-  /// (same samplers, faults, topology) for the replay to be meaningful;
-  /// the RNG stream continues from the snapshot, so an uninterrupted run
-  /// and a paused-then-resumed run are bit-identical.
-  std::shared_ptr<const ClusterSimState> resume_from;
-
   void validate() const;
 };
 
@@ -106,8 +90,8 @@ struct ClusterSimConfig {
 struct ClusterSimResult {
   double mean_queue_length = 0.0;  ///< time-average number in system
   double probability_empty = 0.0;
-  TimeWeightedStats queue_stats{0};  ///< full time-weighted distribution
-  SampleStats system_time;  ///< sojourn times of *completed* tasks
+  TimeWeightedStats queue_stats;  ///< full time-weighted distribution
+  SampleStats system_time;        ///< sojourn times of *completed* tasks
   /// Log-binned sojourn-time distribution of completed tasks, for
   /// delay-bound (QoS) tail estimates Pr(S > d).
   LogHistogram system_time_hist{1e-3, 1e7, 16};
@@ -129,57 +113,6 @@ struct ClusterSimResult {
   std::size_t repairs_completed = 0;    ///< facility repair completions
   std::size_t spare_swaps = 0;          ///< failed slots refilled from spares
   std::size_t max_repair_backlog = 0;   ///< peak FCFS repair-queue length
-
-  // Checkpoint / replay bookkeeping.
-  bool paused = false;        ///< pause_after_events stopped the run early
-  /// Snapshot to hand back via ClusterSimConfig::resume_from (set only
-  /// when paused).
-  std::shared_ptr<const ClusterSimState> state;
-  /// RNG-stream position when the run ended (paused, degraded, or
-  /// complete); persisted by the sweep runner so a replayed experiment
-  /// can prove it consumed the identical stream.
-  std::string final_rng_state;
-};
-
-/// One queued or in-service task inside a snapshot.
-struct ClusterTaskState {
-  double remaining = 0.0;
-  double total = 0.0;
-  double arrival = 0.0;
-};
-
-/// One server inside a snapshot.
-struct ClusterServerState {
-  bool up = true;
-  double next_toggle = 0.0;
-  double last_update = 0.0;
-  bool busy = false;
-  ClusterTaskState task;  ///< valid only when busy
-};
-
-/// Complete mid-run state of simulate_cluster at an event boundary:
-/// the RNG stream, the event clock, every server and queued task, and
-/// the statistics accumulated so far. A run resumed from this snapshot
-/// replays the remaining trajectory bit-identically to an uninterrupted
-/// run with the same config.
-struct ClusterSimState {
-  std::string rng_state;        ///< save_rng_state() of the engine
-  double now = 0.0;
-  double next_arrival = 0.0;
-  double warm_start = 0.0;
-  bool warm = false;
-  std::size_t cycles_done = 0;  ///< includes warm-up cycles
-  std::size_t crash_next = 0;   ///< consumed prefix of the crash schedule
-  std::size_t burst_next = 0;   ///< consumed prefix of the burst schedule
-  std::vector<ClusterServerState> servers;
-  std::vector<ClusterTaskState> queue;  ///< FIFO order, front first
-
-  // Repair-facility state (empty/zero in legacy unlimited-repair runs).
-  std::vector<double> crew_done;  ///< per-crew completion time (inf = idle)
-  std::size_t waiting = 0;        ///< failed units queued for a crew
-  std::size_t spares_avail = 0;   ///< idle operational spares
-
-  ClusterSimResult partial;     ///< counters and statistics so far
 };
 
 /// Run one simulation.

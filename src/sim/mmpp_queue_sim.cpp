@@ -47,15 +47,8 @@ MmppQueueSimResult simulate_mmpp_queue(const map::Mmpp& service,
   PERFORMA_EXPECTS(config.lambda > 0.0, "simulate_mmpp_queue: lambda > 0");
   PERFORMA_EXPECTS(config.horizon > 0.0 && config.warmup >= 0.0,
                    "simulate_mmpp_queue: bad time configuration");
-  if (config.resume_from) {
-    PERFORMA_EXPECTS(config.resume_from->phase < service.dim(),
-                     "simulate_mmpp_queue: resume snapshot was taken with a "
-                     "different modulating process");
-  }
 
-  const bool resuming = config.resume_from != nullptr;
-  Rng rng = resuming ? restore_rng_state(config.resume_from->rng_state)
-                     : Rng(config.seed);
+  Rng rng(config.seed);
   std::uniform_real_distribution<double> uni(0.0, 1.0);
   auto exp_draw = [&rng](double rate) {
     return std::exponential_distribution<double>(rate)(rng);
@@ -65,20 +58,17 @@ MmppQueueSimResult simulate_mmpp_queue(const map::Mmpp& service,
 
   // Start in the stationary phase to shorten warm-up.
   std::size_t phase = 0;
-  if (!resuming) {
-    const auto pi = service.stationary_phases();
-    double u = uni(rng), cum = 0.0;
-    for (std::size_t i = 0; i < pi.size(); ++i) {
-      cum += pi[i];
-      if (u <= cum) {
-        phase = i;
-        break;
-      }
+  const auto pi = service.stationary_phases();
+  double u = uni(rng), cum = 0.0;
+  for (std::size_t i = 0; i < pi.size(); ++i) {
+    cum += pi[i];
+    if (u <= cum) {
+      phase = i;
+      break;
     }
   }
 
   MmppQueueSimResult result;
-  result.queue_stats = TimeWeightedStats(config.histogram_cap);
   TimeWeightedStats& stats = result.queue_stats;
 
   double now = 0.0;
@@ -88,44 +78,9 @@ MmppQueueSimResult simulate_mmpp_queue(const map::Mmpp& service,
 
   // Scheduled next-arrival; service and phase-change are redrawn after
   // every event (valid by memorylessness).
-  double next_arrival = resuming ? 0.0 : exp_draw(config.lambda);
-
-  if (resuming) {
-    const MmppQueueSimState& st = *config.resume_from;
-    result = st.partial;
-    result.paused = false;
-    result.state.reset();
-    result.final_rng_state.clear();
-    now = st.now;
-    next_arrival = st.next_arrival;
-    phase = st.phase;
-    queue = st.queue;
-    warm = st.warm;
-  }
-
-  // Snapshot the loop state between events; the per-iteration service and
-  // phase-change draws happen after this point, so a resumed run redraws
-  // them from the identical RNG position.
-  auto snapshot = [&]() {
-    auto st = std::make_shared<MmppQueueSimState>();
-    st->rng_state = save_rng_state(rng);
-    st->now = now;
-    st->next_arrival = next_arrival;
-    st->phase = phase;
-    st->queue = queue;
-    st->warm = warm;
-    st->partial = result;
-    st->partial.state.reset();
-    st->partial.paused = false;
-    return st;
-  };
+  double next_arrival = exp_draw(config.lambda);
 
   while (now < end) {
-    if (config.pause_after_events != 0 &&
-        result.events >= config.pause_after_events) {
-      result.paused = true;
-      break;
-    }
     const double svc_rate = queue > 0 ? service.rates()[phase] : 0.0;
     const double t_service =
         svc_rate > 0.0 ? now + exp_draw(svc_rate) : kInf;
@@ -170,7 +125,6 @@ MmppQueueSimResult simulate_mmpp_queue(const map::Mmpp& service,
     }
   }
 
-  // A paused run can stop before any post-warm-up time accumulates.
   if (stats.total_time() > 0.0) {
     result.mean_queue_length = stats.mean();
     result.probability_empty = stats.pmf(0);
@@ -183,9 +137,6 @@ MmppQueueSimResult simulate_mmpp_queue(const map::Mmpp& service,
     runs.add(1);
     events.add(result.events);
   }
-
-  result.final_rng_state = save_rng_state(rng);
-  if (result.paused) result.state = snapshot();
   return result;
 }
 

@@ -9,57 +9,28 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "map/mmpp.h"
 #include "sim/stats.h"
 
 namespace performa::sim {
 
-struct MmppQueueSimState;  // mid-run snapshot, defined below
-
 /// Configuration of an M/MMPP/1 simulation run.
 struct MmppQueueSimConfig {
-  double lambda = 1.0;           ///< Poisson arrival rate
-  double horizon = 1e5;          ///< simulated time after warm-up
-  double warmup = 1e4;           ///< time discarded before collecting stats
-  std::uint64_t seed = 1;        ///< RNG seed
-  std::size_t histogram_cap = 4096;
-
-  /// Pause once the cumulative event count reaches this value and return
-  /// a resumable snapshot in MmppQueueSimResult::state. 0 disables.
-  std::size_t pause_after_events = 0;
-  /// Resume from a paused run's snapshot (same service process and
-  /// config required); the replay is bit-identical to an uninterrupted
-  /// run.
-  std::shared_ptr<const MmppQueueSimState> resume_from;
+  double lambda = 1.0;     ///< Poisson arrival rate
+  double horizon = 1e5;    ///< simulated time after warm-up
+  double warmup = 1e4;     ///< time discarded before collecting stats
+  std::uint64_t seed = 1;  ///< RNG seed
 };
 
 /// Point estimates from one run.
 struct MmppQueueSimResult {
   double mean_queue_length = 0.0;
   double probability_empty = 0.0;
-  TimeWeightedStats queue_stats{0};  ///< full time-weighted distribution
+  TimeWeightedStats queue_stats;  ///< full time-weighted distribution
   std::size_t arrivals = 0;
   std::size_t services = 0;
   std::size_t events = 0;  ///< processed events (arrival/service/phase)
-
-  bool paused = false;  ///< pause_after_events stopped the run early
-  std::shared_ptr<const MmppQueueSimState> state;  ///< set only when paused
-  /// RNG-stream position when the run ended (paused or complete).
-  std::string final_rng_state;
-};
-
-/// Complete mid-run state of simulate_mmpp_queue at an event boundary.
-struct MmppQueueSimState {
-  std::string rng_state;  ///< save_rng_state() of the engine
-  double now = 0.0;
-  double next_arrival = 0.0;
-  std::size_t phase = 0;
-  std::size_t queue = 0;
-  bool warm = false;
-  MmppQueueSimResult partial;  ///< counters and statistics so far
 };
 
 /// Run one simulation of the M/MMPP/1 queue with the given modulating

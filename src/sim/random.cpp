@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <memory>
-#include <sstream>
 
 #include "linalg/errors.h"
 #include "medist/sampler.h"
@@ -54,27 +53,6 @@ Sampler bounded_pareto_sampler(double alpha, double x_min, double x_max) {
     const double u = std::uniform_real_distribution<double>(0.0, 1.0)(rng);
     return std::pow(lo - u * (lo - hi), -1.0 / alpha);
   };
-}
-
-std::string save_rng_state(const Rng& rng) {
-  std::ostringstream out;
-  out << rng;
-  return out.str();
-}
-
-Rng restore_rng_state(const std::string& state) {
-  Rng rng;
-  std::istringstream in(state);
-  in >> rng;
-  PERFORMA_EXPECTS(!in.fail(),
-                   "restore_rng_state: malformed or truncated engine state");
-  // A complete state leaves nothing but whitespace behind; trailing junk
-  // means the string was never produced by save_rng_state.
-  std::string rest;
-  in >> rest;
-  PERFORMA_EXPECTS(rest.empty(),
-                   "restore_rng_state: trailing garbage after engine state");
-  return rng;
 }
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream) {

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <random>
-#include <string>
 
 #include "medist/me_dist.h"
 
@@ -45,15 +44,5 @@ Sampler bounded_pareto_sampler(double alpha, double x_min, double x_max);
 /// Independent child seed derivation (splitmix64 step), so replications
 /// and per-stream generators never share state.
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream);
-
-/// Serialize the engine's full state (mt19937_64 word vector + position)
-/// as a whitespace-separated decimal string. The encoding is the
-/// standard-library stream format, so restore_rng_state(save_rng_state(r))
-/// continues the stream bit-exactly on any platform.
-std::string save_rng_state(const Rng& rng);
-
-/// Rebuild an engine from a string produced by save_rng_state(). Throws
-/// InvalidArgument when the text is not a complete, well-formed state.
-Rng restore_rng_state(const std::string& state);
 
 }  // namespace performa::sim

@@ -93,7 +93,6 @@ PointResult DeterministicPoint(int i) {
   out.metrics.emplace_back("a", uniform());
   out.metrics.emplace_back("b", uniform() * 1.0e6);
   out.metrics.emplace_back("c", uniform() - 0.5);
-  out.rng_state = sim::save_rng_state(rng);
   return out;
 }
 
@@ -117,7 +116,6 @@ void ExpectBitIdentical(const SweepResult& a, const SweepResult& b) {
     EXPECT_EQ(a.points[i].id, b.points[i].id);
     EXPECT_EQ(a.points[i].index, b.points[i].index);
     EXPECT_EQ(a.points[i].outcome, b.points[i].outcome);
-    EXPECT_EQ(a.points[i].rng_state, b.points[i].rng_state);
     ASSERT_EQ(a.points[i].metrics.size(), b.points[i].metrics.size());
     for (std::size_t m = 0; m < a.points[i].metrics.size(); ++m) {
       EXPECT_EQ(a.points[i].metrics[m].first, b.points[i].metrics[m].first);
@@ -131,12 +129,6 @@ void ExpectBitIdentical(const SweepResult& a, const SweepResult& b) {
 // --- options and plumbing ---------------------------------------------
 
 TEST(ParallelSweep, ValidatesJobsOptions) {
-  std::vector<SweepPointSpec> pts;
-  pts.push_back({"p0", []() { return PointResult{}; }});
-  SweepOptions bad_grace;
-  bad_grace.drain_grace_seconds = -1.0;
-  EXPECT_THROW(run_sweep("s", pts, bad_grace), InvalidArgument);
-
   EXPECT_GE(resolve_jobs(0), 1u);   // auto maps to >= 1 hardware thread
   EXPECT_EQ(resolve_jobs(7), 7u);   // explicit counts pass through
 }
@@ -369,7 +361,6 @@ TEST(ParallelSweep, InterruptDrainsInFlightWorkers) {
   SweepOptions opts;
   opts.checkpoint_path = ck;
   opts.jobs = 2;
-  opts.drain_grace_seconds = 5.0;
   const auto sweep = run_sweep("drain-sweep", make_specs(true), opts);
   EXPECT_TRUE(sweep.interrupted);
   // Nothing new was dispatched after the signal, but the two in-flight

@@ -1,12 +1,10 @@
 // ClusterSim with the shared repair facility (repair_crews / spares):
 // random (c, s) configurations must agree with the level-dependent
 // analytic model within simulator confidence intervals, fault injection
-// must pile onto the finite repair queue, and pause/resume must stay
-// bit-exact with the new state.
+// must pile onto the finite repair queue.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <random>
 
 #include "map/repair_facility.h"
@@ -23,10 +21,6 @@ using medist::exponential_from_mean;
 using medist::make_tpt;
 using medist::MeDistribution;
 using medist::TptSpec;
-
-bool BitEqual(double a, double b) {
-  return std::memcmp(&a, &b, sizeof a) == 0;
-}
 
 // One random facility configuration drawn from a per-case deterministic
 // stream: cluster size, crew count, spares, repair-time variance and
@@ -186,48 +180,11 @@ TEST(SimRepairFacility, RepairPreemptionAppliesToFacilityRepairs) {
   EXPECT_GT(res.repair_preemptions, 0u);
 }
 
-TEST(SimRepairFacility, PauseResumeBitIdenticalWithFacilityState) {
-  ClusterSimConfig cfg = BaseFacility();
-  cfg.cycles = 600;
-  cfg.warmup_cycles = 60;
-
-  const auto full = simulate_cluster(cfg);
-
-  ClusterSimConfig head = cfg;
-  head.pause_after_events = 5000;
-  const auto paused = simulate_cluster(head);
-  ASSERT_TRUE(paused.paused);
-  ASSERT_NE(paused.state, nullptr);
-
-  ClusterSimConfig tail = cfg;
-  tail.resume_from = paused.state;
-  const auto resumed = simulate_cluster(tail);
-
-  EXPECT_TRUE(BitEqual(full.mean_queue_length, resumed.mean_queue_length));
-  EXPECT_TRUE(BitEqual(full.sim_time, resumed.sim_time));
-  EXPECT_EQ(full.events, resumed.events);
-  EXPECT_EQ(full.repairs_completed, resumed.repairs_completed);
-  EXPECT_EQ(full.spare_swaps, resumed.spare_swaps);
-  EXPECT_EQ(full.max_repair_backlog, resumed.max_repair_backlog);
-  EXPECT_EQ(full.final_rng_state, resumed.final_rng_state);
-}
-
 TEST(SimRepairFacility, ValidatesFacilityConfig) {
   ClusterSimConfig cfg = BaseFacility();
   cfg.repair_crews = 0;
   cfg.spares = 1;  // spares require a facility
   EXPECT_THROW(simulate_cluster(cfg), InvalidArgument);
-
-  // A legacy snapshot cannot resume into a facility run.
-  ClusterSimConfig legacy = BaseFacility();
-  legacy.repair_crews = 0;
-  legacy.spares = 0;
-  legacy.pause_after_events = 500;
-  const auto paused = simulate_cluster(legacy);
-  ASSERT_TRUE(paused.paused);
-  ClusterSimConfig mismatched = BaseFacility();
-  mismatched.resume_from = paused.state;
-  EXPECT_THROW(simulate_cluster(mismatched), InvalidArgument);
 }
 
 }  // namespace
