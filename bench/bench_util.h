@@ -17,8 +17,8 @@
 //   ext5  60000 cycles, one run (no paper counterpart)
 // Each harness's banner names its own paper scale.
 //
-// Harnesses ported to the supervised runner (fig1, fig3, fig7, ext9) also
-// honour:
+// Harnesses ported to the supervised runner (fig1, fig3, fig7, fig8, fig9,
+// ext9) also honour:
 //   PERFORMA_CHECKPOINT     checkpoint file (completed points appended)
 //   PERFORMA_RESUME=1       reuse completed points from the checkpoint
 //   PERFORMA_POINT_TIMEOUT  per-point wall-clock budget in seconds
@@ -36,7 +36,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <limits>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "linalg/kernels.h"
 #include "linalg/pool.h"
@@ -45,6 +49,7 @@
 #include "obs/trace.h"
 #include "runner/golden.h"
 #include "runner/sweep.h"
+#include "sim/stats.h"
 
 namespace performa::bench {
 
@@ -119,6 +124,53 @@ inline int finish_sweep(const char* name, const runner::SweepResult& sweep) {
     if (!report.ok()) return 3;
   }
   return 0;
+}
+
+/// Append one replicated row to a sweep: `reps` points with ids
+/// "<label>/r=<r>", point r computing `fn(r)`. Returns the ids in
+/// replication order (the order replication_summary expects).
+inline std::vector<std::string> add_replications(
+    std::vector<runner::SweepPointSpec>& points, const std::string& label,
+    std::size_t reps,
+    const std::function<runner::PointResult(std::size_t)>& fn) {
+  std::vector<std::string> ids;
+  for (std::size_t r = 0; r < reps; ++r) {
+    ids.push_back(label + "/r=" + std::to_string(r));
+    points.push_back({ids.back(), [fn, r]() { return fn(r); }});
+  }
+  return ids;
+}
+
+/// A sweep's ok points by id. An interrupted sweep holds only a prefix of
+/// its points, so harnesses look points up rather than index them.
+inline std::map<std::string, const runner::CheckpointPoint*> ok_points(
+    const runner::SweepResult& sweep) {
+  std::map<std::string, const runner::CheckpointPoint*> out;
+  for (const auto& pt : sweep.points) {
+    if (pt.outcome == runner::Outcome::kOk) out.emplace(pt.id, &pt);
+  }
+  return out;
+}
+
+/// Replication summary of `metric` over the points `ids`, one point per
+/// replication in replication order: bit-identical to
+/// sim::mean_queue_length_summary over the same seeds. Mean and CI are
+/// NaN when a point is missing or degraded (finish_sweep reports it).
+inline sim::ReplicationSummary replication_summary(
+    const std::map<std::string, const runner::CheckpointPoint*>& ok,
+    const std::vector<std::string>& ids, const char* metric) {
+  std::vector<double> values;
+  for (const auto& id : ids) {
+    const auto it = ok.find(id);
+    if (it == ok.end()) {
+      sim::ReplicationSummary missing;
+      missing.mean = missing.ci_halfwidth =
+          std::numeric_limits<double>::quiet_NaN();
+      return missing;
+    }
+    values.push_back(it->second->metric(metric));
+  }
+  return sim::summarize_replications(values);
 }
 
 /// Print the standard experiment banner.

@@ -10,12 +10,17 @@
 // An extra section reproduces the paper's closing remark of Sec. 4: for
 // Resume and Restart, back-of-queue placement beats front-of-queue.
 #include <cstdio>
+#include <limits>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/cluster_model.h"
 #include "core/mm1.h"
 #include "sim/cluster_sim.h"
+#include "sim/random.h"
 
 using namespace performa;
 
@@ -55,49 +60,94 @@ int main() {
               "(paper: 2e5 x 10; PERFORMA_BENCH_SCALE=5 gives 2e5 x 25)\n",
               model.mean_service_rate(), cycles, reps);
 
+  // One supervised point per (rho, replication r). Each point runs every
+  // strategy of its row on seed derive_seed(row_seed, r), the seed
+  // replicate_cluster gives replication r: common random numbers across
+  // strategies (a paired comparison cancels the enormous repair-time
+  // sampling noise), and the columns summarize to exactly what
+  // mean_queue_length_summary(row config, reps) returns. The r = 0 point
+  // of each rho also carries the analytic solve.
+  using Strategies = std::vector<std::pair<const char*, sim::FailureStrategy>>;
+  std::vector<runner::SweepPointSpec> points;
+  auto add_row = [&](const std::string& label, double rho,
+                     std::uint64_t row_seed, Strategies strategies,
+                     bool analytic) {
+    const double lambda = model.lambda_for_rho(rho);
+    return bench::add_replications(
+        points, label, reps,
+        [&model, &params, lambda, cycles, row_seed, strategies,
+         analytic](std::size_t r) {
+          runner::PointResult out;
+          if (analytic && r == 0) {
+            out.metrics.emplace_back("analytic",
+                                     model.solve(lambda).mean_queue_length());
+          }
+          for (const auto& [name, s] : strategies) {
+            auto cs = BaseSim(params, lambda, cycles);
+            cs.strategy = s;
+            cs.seed = sim::derive_seed(row_seed, r);
+            out.metrics.emplace_back(
+                name, sim::simulate_cluster(cs).mean_queue_length);
+          }
+          return out;
+        });
+  };
+
+  std::vector<std::pair<double, std::vector<std::string>>> rows;
+  // rho accumulates in 0.1 steps (the last row is 0.7999...): the seeds
+  // and lambda_for_rho are taken from these exact values.
+  for (double rho = 0.1; rho < 0.85; rho += 0.1) {
+    char label[32];
+    std::snprintf(label, sizeof label, "rho=%.1f", rho);
+    rows.emplace_back(
+        rho, add_row(label, rho, 1234 + static_cast<std::uint64_t>(rho * 1000),
+                     {{"discard", sim::FailureStrategy::kDiscard},
+                      {"resume", sim::FailureStrategy::kResumeBack},
+                      {"restart", sim::FailureStrategy::kRestartBack}},
+                     true));
+  }
+  // Placement study (paper Sec. 4, closing remark): common random numbers
+  // across placements.
+  const double placement_rho = 0.6;
+  const auto placement =
+      add_row("placement", placement_rho, 4321,
+              {{"resume_front", sim::FailureStrategy::kResumeFront},
+               {"resume_back", sim::FailureStrategy::kResumeBack},
+               {"restart_front", sim::FailureStrategy::kRestartFront},
+               {"restart_back", sim::FailureStrategy::kRestartBack}},
+              false);
+
+  runner::install_signal_handlers();
+  const auto sweep = runner::run_sweep("fig8-strategies", points,
+                                       bench::sweep_options_from_env());
+  const auto ok = bench::ok_points(sweep);
+
   std::printf(
       "rho,analytic_nql,discard_nql,discard_ci,resume_nql,restart_nql\n");
-  for (double rho = 0.1; rho < 0.85; rho += 0.1) {
-    const double lambda = model.lambda_for_rho(rho);
+  for (const auto& [rho, ids] : rows) {
     const double mm1 = core::mm1::mean_queue_length(rho);
-    const double analytic = model.solve(lambda).mean_queue_length() / mm1;
-
-    auto run = [&](sim::FailureStrategy s) {
-      auto cs = BaseSim(params, lambda, cycles);
-      cs.strategy = s;
-      // Common random numbers across strategies: paired comparison
-      // cancels the enormous repair-time sampling noise.
-      cs.seed = 1234 + static_cast<std::uint64_t>(rho * 1000);
-      return sim::mean_queue_length_summary(cs, reps);
-    };
-    const auto discard = run(sim::FailureStrategy::kDiscard);
-    const auto resume = run(sim::FailureStrategy::kResumeBack);
-    const auto restart = run(sim::FailureStrategy::kRestartBack);
-
+    const auto first = ok.find(ids.front());
+    const double analytic =
+        first == ok.end() ? std::numeric_limits<double>::quiet_NaN()
+                          : first->second->metric("analytic") / mm1;
+    const auto discard = bench::replication_summary(ok, ids, "discard");
+    const auto resume = bench::replication_summary(ok, ids, "resume");
+    const auto restart = bench::replication_summary(ok, ids, "restart");
     std::printf("%.1f,%.4f,%.4f,%.4f,%.4f,%.4f\n", rho, analytic,
                 discard.mean / mm1, discard.ci_halfwidth / mm1,
                 resume.mean / mm1, restart.mean / mm1);
   }
 
-  // Placement study (paper Sec. 4, closing remark).
   std::printf("\n# placement study at rho = 0.6: back-of-queue insertion "
               "should not exceed front-of-queue in mean queue length\n");
   std::printf("strategy,front_nql,back_nql\n");
-  const double rho = 0.6;
-  const double lambda = model.lambda_for_rho(rho);
-  const double mm1 = core::mm1::mean_queue_length(rho);
+  const double mm1 = core::mm1::mean_queue_length(placement_rho);
   for (auto [name, front, back] :
-       {std::tuple{"Resume", sim::FailureStrategy::kResumeFront,
-                   sim::FailureStrategy::kResumeBack},
-        std::tuple{"Restart", sim::FailureStrategy::kRestartFront,
-                   sim::FailureStrategy::kRestartBack}}) {
-    auto run = [&](sim::FailureStrategy s) {
-      auto cs = BaseSim(params, lambda, cycles);
-      cs.strategy = s;
-      cs.seed = 4321;  // common random numbers across placements
-      return sim::mean_queue_length_summary(cs, reps).mean / mm1;
-    };
-    std::printf("%s,%.4f,%.4f\n", name, run(front), run(back));
+       {std::tuple{"Resume", "resume_front", "resume_back"},
+        std::tuple{"Restart", "restart_front", "restart_back"}}) {
+    std::printf("%s,%.4f,%.4f\n", name,
+                bench::replication_summary(ok, placement, front).mean / mm1,
+                bench::replication_summary(ok, placement, back).mean / mm1);
   }
-  return 0;
+  return bench::finish_sweep("fig8-strategies", sweep);
 }

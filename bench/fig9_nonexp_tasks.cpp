@@ -7,12 +7,16 @@
 // the completion time then becomes power-tailed). The blow-up behaviour
 // remains visible for all three strategies.
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
 #include "core/cluster_model.h"
 #include "core/mm1.h"
 #include "medist/moment_fit.h"
 #include "sim/cluster_sim.h"
+#include "sim/random.h"
 
 using namespace performa;
 
@@ -44,30 +48,57 @@ int main() {
               "tailed, see Fiorini et al. 2006); very large values at "
               "high rho indicate that regime, not estimator noise\n");
 
-  std::printf("rho,discard_nql,resume_nql,restart_nql\n");
+  // One supervised point per (rho, replication r), running the three
+  // strategies on seed derive_seed(row_seed, r): common random numbers
+  // across strategies (paired comparison), and columns bit-identical to
+  // mean_queue_length_summary(row config, reps).
+  std::vector<runner::SweepPointSpec> points;
+  std::vector<std::pair<double, std::vector<std::string>>> rows;
+  // rho accumulates in 0.1 steps (the last row is 0.7999...): the seeds
+  // and lambda_for_rho are taken from these exact values.
   for (double rho = 0.1; rho < 0.85; rho += 0.1) {
     const double lambda = model.lambda_for_rho(rho);
-    const double mm1 = core::mm1::mean_queue_length(rho);
-
-    auto run = [&](sim::FailureStrategy s) {
-      sim::ClusterSimConfig cs;
-      cs.delta = 0.0;
-      cs.lambda = lambda;
-      cs.up = sim::me_sampler(params.up);
-      cs.down = sim::me_sampler(params.down);
-      cs.task_work = sim::me_sampler(task_dist);
-      cs.strategy = s;
-      cs.cycles = cycles;
-      cs.warmup_cycles = cycles / 10;
-      // Common random numbers across strategies (paired comparison).
-      cs.seed = 777 + static_cast<std::uint64_t>(rho * 1000);
-      return sim::mean_queue_length_summary(cs, reps).mean / mm1;
+    const auto row_seed = 777 + static_cast<std::uint64_t>(rho * 1000);
+    auto replication = [&params, &task_dist, lambda, cycles,
+                        row_seed](std::size_t r) {
+      runner::PointResult out;
+      for (auto [name, s] :
+           {std::pair{"discard", sim::FailureStrategy::kDiscard},
+            std::pair{"resume", sim::FailureStrategy::kResumeBack},
+            std::pair{"restart", sim::FailureStrategy::kRestartBack}}) {
+        sim::ClusterSimConfig cs;
+        cs.delta = 0.0;
+        cs.lambda = lambda;
+        cs.up = sim::me_sampler(params.up);
+        cs.down = sim::me_sampler(params.down);
+        cs.task_work = sim::me_sampler(task_dist);
+        cs.strategy = s;
+        cs.cycles = cycles;
+        cs.warmup_cycles = cycles / 10;
+        cs.seed = sim::derive_seed(row_seed, r);
+        out.metrics.emplace_back(name,
+                                 sim::simulate_cluster(cs).mean_queue_length);
+      }
+      return out;
     };
-
-    std::printf("%.1f,%.4f,%.4f,%.4f\n", rho,
-                run(sim::FailureStrategy::kDiscard),
-                run(sim::FailureStrategy::kResumeBack),
-                run(sim::FailureStrategy::kRestartBack));
+    char label[32];
+    std::snprintf(label, sizeof label, "rho=%.1f", rho);
+    rows.emplace_back(
+        rho, bench::add_replications(points, label, reps, replication));
   }
-  return 0;
+
+  runner::install_signal_handlers();
+  const auto sweep = runner::run_sweep("fig9-nonexp-tasks", points,
+                                       bench::sweep_options_from_env());
+  const auto ok = bench::ok_points(sweep);
+
+  std::printf("rho,discard_nql,resume_nql,restart_nql\n");
+  for (const auto& [rho, ids] : rows) {
+    const double mm1 = core::mm1::mean_queue_length(rho);
+    std::printf("%.1f,%.4f,%.4f,%.4f\n", rho,
+                bench::replication_summary(ok, ids, "discard").mean / mm1,
+                bench::replication_summary(ok, ids, "resume").mean / mm1,
+                bench::replication_summary(ok, ids, "restart").mean / mm1);
+  }
+  return bench::finish_sweep("fig9-nonexp-tasks", sweep);
 }

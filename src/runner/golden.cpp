@@ -45,8 +45,9 @@ GoldenReport compare_to_golden(const SweepCheckpoint& golden,
         continue;
       }
       ++report.metrics_compared;
+      // Before the error: equal infinities differ by inf - inf = NaN.
+      if (value == expected) continue;
       const double abs_err = std::fabs(value - expected);
-      if (abs_err == 0.0) continue;
       if (std::isnan(expected) && std::isnan(value)) continue;
       const double scale = std::fabs(expected);
       const double rel = scale > 0.0 ? abs_err / scale

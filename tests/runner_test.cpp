@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -716,6 +717,34 @@ TEST(Golden, AbsFloorGuardsZeroValuedMetrics) {
   ASSERT_EQ(report.diffs.size(), 1u);
   EXPECT_EQ(report.diffs[0].kind, GoldenDiff::Kind::kValue);
   EXPECT_EQ(report.diffs[0].metric, "y");
+}
+
+// A metric whose golden value is infinite agrees with the same infinity
+// (their difference is NaN) and still differs from the other infinity and
+// from any finite value.
+TEST(Golden, EqualInfinitiesAgree) {
+  const double inf = std::numeric_limits<double>::infinity();
+  auto g = MakeGolden();
+  g.points[0].metrics[0].second = inf;
+  EXPECT_TRUE(compare_to_golden(g, g).ok());
+
+  auto neg = g;
+  neg.points[0].metrics[0].second = -inf;
+  EXPECT_TRUE(compare_to_golden(neg, neg).ok());
+
+  for (const double other : {-inf, 1.0, 0.0}) {
+    auto a = g;
+    a.points[0].metrics[0].second = other;
+    const auto report = compare_to_golden(g, a);
+    ASSERT_EQ(report.diffs.size(), 1u) << other;
+    EXPECT_EQ(report.diffs[0].kind, GoldenDiff::Kind::kValue);
+    EXPECT_EQ(report.diffs[0].metric, "x");
+  }
+  // A finite golden value against an infinite actual one differs too.
+  auto finite = MakeGolden();
+  auto a = finite;
+  a.points[0].metrics[0].second = inf;
+  EXPECT_EQ(compare_to_golden(finite, a).diffs.size(), 1u);
 }
 
 TEST(Golden, FlagsMissingPointMetricAndOutcomeChanges) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/mm1.h"
 #include "map/lumped_aggregate.h"
 #include "medist/me_dist.h"
 #include "qbd/solution.h"
+#include "sim/random.h"
+#include "sim/stats.h"
 #include "test_util.h"
 
 namespace performa::sim {
@@ -170,6 +175,26 @@ TEST(ClusterSim, ReplicationPlumbing) {
   const auto summary = mean_queue_length_summary(cfg, 4);
   EXPECT_GT(summary.ci_halfwidth, 0.0);
   EXPECT_EQ(summary.replications, 4u);
+}
+
+// The split the fig8/fig9 harnesses rely on: one run per replication r on
+// seed derive_seed(seed, r), summarized in replication order, reproduces
+// mean_queue_length_summary bit for bit.
+TEST(ClusterSim, PerReplicationRunsSummarizeLikeTheSummary) {
+  ClusterSimConfig cfg = BaseConfig();
+  cfg.cycles = 2000;
+  cfg.warmup_cycles = 100;
+  std::vector<double> means;
+  for (std::uint64_t r = 0; r < 5; ++r) {
+    ClusterSimConfig run = cfg;
+    run.seed = derive_seed(cfg.seed, r);
+    means.push_back(simulate_cluster(run).mean_queue_length);
+  }
+  const auto split = summarize_replications(means);
+  const auto whole = mean_queue_length_summary(cfg, 5);
+  EXPECT_EQ(split.mean, whole.mean);
+  EXPECT_EQ(split.ci_halfwidth, whole.ci_halfwidth);
+  EXPECT_GT(whole.ci_halfwidth, 0.0);
 }
 
 TEST(ClusterSim, Validation) {
