@@ -25,6 +25,11 @@
 //   PERFORMA_GOLDEN         golden checkpoint to regression-compare against
 //   PERFORMA_JOBS           points in flight at once (default: one per
 //                           hardware thread; the CSV is identical either way)
+//   PERFORMA_THREADS        pool width inside each point (default: hardware
+//                           threads / jobs). fig1, fig7, fig8 and fig9 run a
+//                           point's independent solves and simulations as
+//                           pool tasks (parallel_map); the CSV is identical
+//                           at every width
 //   PERFORMA_PROGRESS=1     stderr line per completed point
 //   PERFORMA_TRACE          trace_event JSONL trace of the run (Perfetto)
 //   PERFORMA_METRICS        metrics registry written at the end of the
@@ -36,10 +41,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "linalg/kernels.h"
@@ -171,6 +180,33 @@ inline sim::ReplicationSummary replication_summary(
     values.push_back(it->second->metric(metric));
   }
   return sim::summarize_replications(values);
+}
+
+/// fn(0), ..., fn(n-1) as tasks on this process's linalg pool, values
+/// returned in index order. Inside a sweep point this spends the point's
+/// PERFORMA_THREADS budget on its independent solves and simulations;
+/// solver kernels reached from a task run inline (linalg/pool.h). Pool
+/// tasks must not throw, so each task's exception is caught, and the
+/// lowest-index one is rethrown here once every task has finished.
+template <typename Fn>
+auto parallel_map(std::size_t n, const Fn& fn) {
+  using T = std::invoke_result_t<const Fn&, std::size_t>;
+  std::vector<std::optional<T>> values(n);
+  std::vector<std::exception_ptr> errors(n);
+  linalg::parallel_for(n, [&](std::size_t i) {
+    try {
+      values[i].emplace(fn(i));
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  std::vector<T> out;
+  out.reserve(n);
+  for (std::optional<T>& v : values) out.push_back(std::move(*v));
+  return out;
 }
 
 /// Print the standard experiment banner.

@@ -35,18 +35,21 @@ int main() {
               rho_bounds[0], rho_bounds[1]);
 
   // Each rho is one supervised point; metrics round-trip through the
-  // runner, so the sweep is checkpointable and golden-comparable.
+  // runner, so the sweep is checkpointable and golden-comparable. The
+  // four T-models of a point solve as pool tasks.
   std::vector<runner::SweepPointSpec> points;
   for (double rho = 0.05; rho < 0.96; rho += 0.05) {
     char id[32];
     std::snprintf(id, sizeof id, "rho=%.2f", rho);
     points.push_back({id, [&models, &t_values, rho]() {
+      const auto nql = bench::parallel_map(models.size(), [&](std::size_t i) {
+        return models[i].normalized_mean_queue_length(rho);
+      });
       runner::PointResult out;
       for (std::size_t i = 0; i < models.size(); ++i) {
         char name[32];
         std::snprintf(name, sizeof name, "nql_T%u", t_values[i]);
-        out.metrics.emplace_back(name,
-                                 models[i].normalized_mean_queue_length(rho));
+        out.metrics.emplace_back(name, nql[i]);
       }
       return out;
     }});

@@ -19,6 +19,7 @@
 #include "core/mm1.h"
 #include "sim/cluster_sim.h"
 #include "sim/mmpp_queue_sim.h"
+#include "sim/random.h"
 
 using namespace performa;
 
@@ -40,43 +41,54 @@ int main() {
 
   // Each rho is one supervised point (the expensive stage of this figure
   // is simulation, so the per-point timeout/retry protection and
-  // checkpoint reuse matter most here).
+  // checkpoint reuse matter most here). Inside a point, the two analytic
+  // solves, the M/MMPP/1 simulation and the `reps` cluster replications
+  // run as pool tasks; the replications keep replicate_cluster's seeds
+  // and summarize in index order, bit-identical to
+  // mean_queue_length_summary.
   std::vector<runner::SweepPointSpec> points;
   for (double rho = 0.1; rho < 0.95; rho += 0.1) {
     char id[32];
     std::snprintf(id, sizeof id, "rho=%.1f", rho);
     points.push_back({id, [&model, &params, cycles, reps, rho]() {
-      runner::PointResult out;
       const double lambda = model.lambda_for_rho(rho);
+      enum : std::size_t { kAnalytic, kAnalyticLd, kSimMmpp, kFirstRep };
+      const auto values =
+          bench::parallel_map(kFirstRep + reps, [&](std::size_t i) {
+            if (i == kAnalytic) return model.solve(lambda).mean_queue_length();
+            if (i == kAnalyticLd) {
+              return model.solve_load_dependent(lambda).mean_queue_length();
+            }
+            if (i == kSimMmpp) {
+              // Load-independent M/MMPP/1 simulation.
+              sim::MmppQueueSimConfig mq;
+              mq.lambda = lambda;
+              mq.horizon = 50.0 * static_cast<double>(cycles);
+              mq.warmup = 0.1 * mq.horizon;
+              mq.seed = 7001 + static_cast<std::uint64_t>(rho * 100);
+              return sim::simulate_mmpp_queue(model.aggregate().mmpp(), mq)
+                  .mean_queue_length;
+            }
+            // Multiprocessor simulation, replication i - kFirstRep.
+            sim::ClusterSimConfig cs;
+            cs.lambda = lambda;
+            cs.up = sim::me_sampler(params.up);
+            cs.down = sim::me_sampler(params.down);
+            cs.cycles = cycles;
+            cs.warmup_cycles = cycles / 10;
+            cs.seed = sim::derive_seed(
+                9001 + static_cast<std::uint64_t>(rho * 100), i - kFirstRep);
+            return sim::simulate_cluster(cs).mean_queue_length;
+          });
+      const auto mp = sim::summarize_replications(
+          {values.begin() + kFirstRep, values.end()});
 
-      out.metrics.emplace_back("analytic",
-                               model.solve(lambda).mean_queue_length());
-      out.metrics.emplace_back(
-          "analytic_ld",
-          model.solve_load_dependent(lambda).mean_queue_length());
-
-      // Load-independent M/MMPP/1 simulation.
-      sim::MmppQueueSimConfig mq;
-      mq.lambda = lambda;
-      mq.horizon = 50.0 * static_cast<double>(cycles);
-      mq.warmup = 0.1 * mq.horizon;
-      mq.seed = 7001 + static_cast<std::uint64_t>(rho * 100);
-      const auto mmpp_sim =
-          sim::simulate_mmpp_queue(model.aggregate().mmpp(), mq);
-      out.metrics.emplace_back("sim_mmpp", mmpp_sim.mean_queue_length);
-
-      // Multiprocessor simulation.
-      sim::ClusterSimConfig cs;
-      cs.lambda = lambda;
-      cs.up = sim::me_sampler(params.up);
-      cs.down = sim::me_sampler(params.down);
-      cs.cycles = cycles;
-      cs.warmup_cycles = cycles / 10;
-      cs.seed = 9001 + static_cast<std::uint64_t>(rho * 100);
-      const auto mp = sim::mean_queue_length_summary(cs, reps);
+      runner::PointResult out;
+      out.metrics.emplace_back("analytic", values[kAnalytic]);
+      out.metrics.emplace_back("analytic_ld", values[kAnalyticLd]);
+      out.metrics.emplace_back("sim_mmpp", values[kSimMmpp]);
       out.metrics.emplace_back("sim_multiproc", mp.mean);
       out.metrics.emplace_back("sim_multiproc_ci", mp.ci_halfwidth);
-
       out.metrics.emplace_back("mm1", core::mm1::mean_queue_length(rho));
       return out;
     }});

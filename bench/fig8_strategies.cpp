@@ -66,7 +66,8 @@ int main() {
   // strategies (a paired comparison cancels the enormous repair-time
   // sampling noise), and the columns summarize to exactly what
   // mean_queue_length_summary(row config, reps) returns. The r = 0 point
-  // of each rho also carries the analytic solve.
+  // of each rho also carries the analytic solve. The analytic solve and
+  // the strategies' simulations run side by side as pool tasks.
   using Strategies = std::vector<std::pair<const char*, sim::FailureStrategy>>;
   std::vector<runner::SweepPointSpec> points;
   auto add_row = [&](const std::string& label, double rho,
@@ -77,17 +78,19 @@ int main() {
         points, label, reps,
         [&model, &params, lambda, cycles, row_seed, strategies,
          analytic](std::size_t r) {
+          const std::size_t first = analytic && r == 0 ? 1 : 0;
+          const auto values = bench::parallel_map(
+              first + strategies.size(), [&](std::size_t i) {
+                if (i < first) return model.solve(lambda).mean_queue_length();
+                auto cs = BaseSim(params, lambda, cycles);
+                cs.strategy = strategies[i - first].second;
+                cs.seed = sim::derive_seed(row_seed, r);
+                return sim::simulate_cluster(cs).mean_queue_length;
+              });
           runner::PointResult out;
-          if (analytic && r == 0) {
-            out.metrics.emplace_back("analytic",
-                                     model.solve(lambda).mean_queue_length());
-          }
-          for (const auto& [name, s] : strategies) {
-            auto cs = BaseSim(params, lambda, cycles);
-            cs.strategy = s;
-            cs.seed = sim::derive_seed(row_seed, r);
-            out.metrics.emplace_back(
-                name, sim::simulate_cluster(cs).mean_queue_length);
+          if (first == 1) out.metrics.emplace_back("analytic", values[0]);
+          for (std::size_t i = 0; i < strategies.size(); ++i) {
+            out.metrics.emplace_back(strategies[i].first, values[first + i]);
           }
           return out;
         });

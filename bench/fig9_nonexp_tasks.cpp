@@ -7,6 +7,7 @@
 // the completion time then becomes power-tailed). The blow-up behaviour
 // remains visible for all three strategies.
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,7 +52,8 @@ int main() {
   // One supervised point per (rho, replication r), running the three
   // strategies on seed derive_seed(row_seed, r): common random numbers
   // across strategies (paired comparison), and columns bit-identical to
-  // mean_queue_length_summary(row config, reps).
+  // mean_queue_length_summary(row config, reps). The strategies run as
+  // pool tasks.
   std::vector<runner::SweepPointSpec> points;
   std::vector<std::pair<double, std::vector<std::string>>> rows;
   // rho accumulates in 0.1 steps (the last row is 0.7999...): the seeds
@@ -61,23 +63,27 @@ int main() {
     const auto row_seed = 777 + static_cast<std::uint64_t>(rho * 1000);
     auto replication = [&params, &task_dist, lambda, cycles,
                         row_seed](std::size_t r) {
+      static constexpr std::pair<const char*, sim::FailureStrategy>
+          kStrategies[] = {{"discard", sim::FailureStrategy::kDiscard},
+                           {"resume", sim::FailureStrategy::kResumeBack},
+                           {"restart", sim::FailureStrategy::kRestartBack}};
+      const auto values =
+          bench::parallel_map(std::size(kStrategies), [&](std::size_t i) {
+            sim::ClusterSimConfig cs;
+            cs.delta = 0.0;
+            cs.lambda = lambda;
+            cs.up = sim::me_sampler(params.up);
+            cs.down = sim::me_sampler(params.down);
+            cs.task_work = sim::me_sampler(task_dist);
+            cs.strategy = kStrategies[i].second;
+            cs.cycles = cycles;
+            cs.warmup_cycles = cycles / 10;
+            cs.seed = sim::derive_seed(row_seed, r);
+            return sim::simulate_cluster(cs).mean_queue_length;
+          });
       runner::PointResult out;
-      for (auto [name, s] :
-           {std::pair{"discard", sim::FailureStrategy::kDiscard},
-            std::pair{"resume", sim::FailureStrategy::kResumeBack},
-            std::pair{"restart", sim::FailureStrategy::kRestartBack}}) {
-        sim::ClusterSimConfig cs;
-        cs.delta = 0.0;
-        cs.lambda = lambda;
-        cs.up = sim::me_sampler(params.up);
-        cs.down = sim::me_sampler(params.down);
-        cs.task_work = sim::me_sampler(task_dist);
-        cs.strategy = s;
-        cs.cycles = cycles;
-        cs.warmup_cycles = cycles / 10;
-        cs.seed = sim::derive_seed(row_seed, r);
-        out.metrics.emplace_back(name,
-                                 sim::simulate_cluster(cs).mean_queue_length);
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        out.metrics.emplace_back(kStrategies[i].first, values[i]);
       }
       return out;
     };

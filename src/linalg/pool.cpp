@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -15,6 +16,10 @@ namespace performa::linalg {
 
 namespace {
 
+// Concurrent processes sharing the machine (set_pool_share); 1 outside
+// a sweep worker.
+std::atomic<unsigned> g_share{1};
+
 unsigned env_default_threads() {
   if (const char* env = std::getenv("PERFORMA_THREADS");
       env != nullptr && *env != '\0') {
@@ -22,8 +27,13 @@ unsigned env_default_threads() {
     if (v >= 1 && v <= 4096) return static_cast<unsigned>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  return std::max(1u, hw / g_share.load(std::memory_order_relaxed));
 }
+
+// True on a thread while it executes pool tasks: pool workers for their
+// whole life, the calling thread for the span of its own task loop. A
+// parallel_for issued from a task runs inline (see parallel_for_impl).
+thread_local bool t_in_task = false;
 
 // All mutable pool state lives behind one pointer so a forked child can
 // atomically swap in a fresh object without touching the parent's (whose
@@ -58,6 +68,7 @@ struct PoolState {
   std::size_t active = 0;
 
   void worker_loop() {
+    t_in_task = true;
     std::uint64_t seen = 0;
     std::unique_lock lock(mu);
     for (;;) {
@@ -112,12 +123,14 @@ struct PoolState {
 
     // The calling thread works too -- a pool of 1 degenerates to inline.
     std::size_t ran = 0;
+    t_in_task = true;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= total) break;
       f(c, i);
       ++ran;
     }
+    t_in_task = false;
 
     lock.lock();
     tasks_done += ran;
@@ -169,6 +182,17 @@ PoolState* state() {
   return s;
 }
 
+// Drop this process's state so the next use re-derives its width; the
+// caller has just changed an input of that derivation under g_state_mu.
+void reset_state(std::unique_lock<std::mutex>& lock) {
+  PoolState* s = g_state.load(std::memory_order_acquire);
+  g_state.store(nullptr, std::memory_order_release);
+  lock.unlock();
+  // Join outside the creation lock; the state object itself is leaked by
+  // design (see state()).
+  if (s != nullptr && s->pid == ::getpid()) s->join_all();
+}
+
 }  // namespace
 
 unsigned pool_threads() noexcept { return state()->configured; }
@@ -176,12 +200,13 @@ unsigned pool_threads() noexcept { return state()->configured; }
 void set_pool_threads(unsigned n) {
   std::unique_lock lock(g_state_mu);
   g_override.store(n, std::memory_order_relaxed);
-  PoolState* s = g_state.load(std::memory_order_acquire);
-  g_state.store(nullptr, std::memory_order_release);
-  lock.unlock();
-  // Join outside the creation lock; the state object itself is leaked by
-  // design (see state()).
-  if (s != nullptr && s->pid == ::getpid()) s->join_all();
+  reset_state(lock);
+}
+
+void set_pool_share(unsigned processes) {
+  std::unique_lock lock(g_state_mu);
+  g_share.store(std::max(1u, processes), std::memory_order_relaxed);
+  reset_state(lock);
 }
 
 void pool_shutdown() {
@@ -202,7 +227,13 @@ void parallel_for_impl(std::size_t n_tasks, void (*fn)(void*, std::size_t),
                        void* ctx) {
   if (n_tasks == 0) return;
   PoolState* s = state();
-  if (s->configured <= 1 || n_tasks < 2) {
+  // The width-1 and single-task tests come first, so a width-1 pool
+  // never reads the thread-local. A task that fans out again runs its
+  // inner loop inline: the outer job owns the pool's threads, and
+  // run() on a worker would wait for itself (active counts it) while
+  // run() on the calling thread would republish the job under itself.
+  // Inline execution keeps the answer unchanged (determinism contract).
+  if (s->configured <= 1 || n_tasks < 2 || t_in_task) {
     for (std::size_t i = 0; i < n_tasks; ++i) fn(ctx, i);
     return;
   }

@@ -24,9 +24,17 @@
 //   4. *Clean exit.* Workers are joined from a static destructor (and by
 //      pool_shutdown()), so a TSan build reports no leaked threads after
 //      perfctl/performad exit.
+//   5. *One thread budget per process.* The pool is the process's only
+//      source of threads. Callers above the kernels (the figure harnesses
+//      run a sweep point's independent solves and simulations as tasks)
+//      share it with the kernels: a parallel_for issued from inside a
+//      task runs inline on that task's thread, so nesting never deadlocks
+//      and never oversubscribes, and the inner answer is unchanged
+//      (goal 1).
 //
-// PERFORMA_THREADS sets the worker count (default: hardware threads);
-// set_pool_threads() overrides it at runtime (tests, --threads flags).
+// PERFORMA_THREADS sets the worker count (default: hardware threads, or
+// its share in a sweep worker, see set_pool_share); set_pool_threads()
+// overrides it at runtime (tests, --threads flags).
 #pragma once
 
 #include <cstddef>
@@ -45,6 +53,14 @@ unsigned pool_threads() noexcept;
 /// the environment/hardware default.
 void set_pool_threads(unsigned n);
 
+/// Declare this process one of `processes` running side by side (the
+/// sweep runner calls it in each forked point worker). When neither
+/// PERFORMA_THREADS nor set_pool_threads() sets a width, the default
+/// becomes max(1, hardware threads / processes), so the workers together
+/// fill the machine once. Like set_pool_threads, it rebuilds the pool
+/// lazily at the new width.
+void set_pool_share(unsigned processes);
+
 /// Join and discard all pool workers (idempotent). The configured size is
 /// kept, so the next parallel_for respawns; call right before process exit
 /// (perfctl does) to guarantee no thread outlives main under TSan.
@@ -62,7 +78,8 @@ void parallel_for_impl(std::size_t n_tasks, void (*fn)(void*, std::size_t),
 /// Run f(0), f(1), ..., f(n_tasks-1), possibly concurrently. Tasks MUST
 /// write disjoint outputs and MUST NOT throw (kernels validate before
 /// fanning out). Runs inline when the pool has one thread, when there is
-/// a single task, or in a forked child whose parent created the pool.
+/// a single task, or when called from inside a pool task (a nested call
+/// runs on the task's own thread). A forked child gets a fresh pool.
 template <typename F>
 void parallel_for(std::size_t n_tasks, F&& f) {
   using Fn = std::remove_reference_t<F>;

@@ -1,6 +1,7 @@
 #include "qbd/solution.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -547,11 +548,16 @@ double QbdSolution::tail(std::size_t k) const {
     for (std::size_t j = k; j < c; ++j) acc += linalg::sum(pis_[j]);
     return acc + linalg::dot(pis_[c], closure);
   }
-  // pi_C R^{k-C} (I-R)^{-1} e via iterated vector-matrix products for
-  // small k and binary powering for large k.
+  // pi_C R^{k-C} (I-R)^{-1} e, by whichever costs fewer flops: `steps`
+  // vector-matrix products (m^2 each), or binary powering of R (one m^3
+  // product per bit and per set bit of `steps`). Short tails
+  // (steps <= 64) always step.
   const std::size_t steps = k - c;
+  const std::size_t m = phase_dim();
+  const auto powering_products = static_cast<std::size_t>(
+      std::bit_width(steps) + std::popcount(steps));
   Vector v = pis_[c];
-  if (steps <= 64) {
+  if (steps <= 64 || steps <= m * powering_products) {
     for (std::size_t i = 0; i < steps; ++i) v = v * r_;
   } else {
     // Binary powering of R.

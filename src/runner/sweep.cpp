@@ -279,7 +279,8 @@ SweepResult run_sweep(const std::string& name,
     slot.index = index;
     slot.attempt = attempt;
     slot.timed_out = false;
-    slot.worker = spawn_worker(specs[index].fn);
+    slot.worker = spawn_worker(specs[index].fn,
+                               static_cast<unsigned>(slots.size()));
     if (attempt == 1) {
       slot.first_dispatch = slot.worker.started;
       slot.span = std::make_unique<obs::Span>("runner.point");

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "linalg/errors.h"
+#include "linalg/pool.h"
 #include "obs/append_file.h"
 #include "obs/fork.h"
 #include "obs/trace.h"
@@ -122,7 +123,7 @@ bool decode_result(const std::string& payload, PointResult& out) {
   return true;
 }
 
-WorkerHandle spawn_worker(const PointFn& fn) {
+WorkerHandle spawn_worker(const PointFn& fn, unsigned concurrent) {
   int fds[2];
   if (::pipe(fds) != 0) {
     throw NumericalError("spawn_worker: pipe() failed");
@@ -130,6 +131,10 @@ WorkerHandle spawn_worker(const PointFn& fn) {
   WorkerHandle handle;
   handle.started = std::chrono::steady_clock::now();
 
+  // The worker inherits every unflushed stdio buffer. Its own _exit
+  // skips them, but a sanitizer's _exit flushes them: a harness whose
+  // stdout is a file then printed its banner once per worker.
+  std::fflush(nullptr);
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
@@ -145,6 +150,7 @@ WorkerHandle spawn_worker(const PointFn& fn) {
     // closes its copy of every write end right after forking.)
     ::close(fds[0]);
     obs::ForkHandoff::enter_child();
+    linalg::set_pool_share(concurrent);
     int code = kExitError;
     try {
       PointResult result;
@@ -165,6 +171,9 @@ WorkerHandle spawn_worker(const PointFn& fn) {
         // The supervisor is gone; the exit code still tells the story.
       }
     }
+    // _exit runs no thread_local destructors: join the point's pool
+    // threads first, so the spans buffered on them reach the trace.
+    linalg::pool_shutdown();
     obs::ForkHandoff::leave_child();
     ::close(fds[1]);
     ::_exit(code);

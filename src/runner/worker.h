@@ -57,10 +57,13 @@ struct WorkerHandle {
   bool running() const noexcept { return pid > 0; }
 };
 
-/// Fork a worker for `fn`. Throws NumericalError when fork/pipe fail
-/// (supervisor-side resource exhaustion); worker misbehaviour after a
-/// successful spawn never throws -- it is classified by reap_worker.
-WorkerHandle spawn_worker(const PointFn& fn);
+/// Fork a worker for `fn`, one of `concurrent` workers the supervisor
+/// keeps in flight: the worker's default pool width is its share of the
+/// machine (linalg::set_pool_share). Throws NumericalError when
+/// fork/pipe fail (supervisor-side resource exhaustion); worker
+/// misbehaviour after a successful spawn never throws -- it is
+/// classified by reap_worker.
+WorkerHandle spawn_worker(const PointFn& fn, unsigned concurrent);
 
 /// Drain every byte currently available on the worker's pipe into
 /// `payload` without blocking; sets `eof` once the worker closed its

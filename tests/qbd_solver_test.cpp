@@ -3,9 +3,11 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "linalg/ctmc.h"
 #include "linalg/kernels.h"
+#include "linalg/lu.h"
 #include "map/lumped_aggregate.h"
 #include "medist/tpt.h"
 #include "qbd/solution.h"
@@ -200,16 +202,49 @@ TEST(QbdSolution, TailMatchesPmfPartialSums) {
 }
 
 TEST(QbdSolution, TailBinaryPoweringConsistent) {
-  // tail() switches to binary powering above 64 steps; verify continuity
-  // across the switch point.
+  // tail() steps the vector while that costs fewer flops than binary
+  // powering of R: steps <= m (bit_width + popcount). At m = 21 the
+  // switch lies between 255 and 256 steps; verify continuity across it.
   const QbdSolution sol(m_mmpp_1(PaperClusterMmpp(5, 2), 2.5));
-  const double t64 = sol.tail(64);
-  const double t65 = sol.tail(65);
-  const double t66 = sol.tail(66);
-  EXPECT_GT(t64, t65);
-  EXPECT_GT(t65, t66);
+  ASSERT_EQ(sol.phase_dim(), 21u);
+  const std::size_t k = sol.boundary_levels() + 255;
+  const double t0 = sol.tail(k);
+  const double t1 = sol.tail(k + 1);
+  const double t2 = sol.tail(k + 2);
+  EXPECT_GT(t0, t1);
+  EXPECT_GT(t1, t2);
   // Ratios in a geometric-ish regime vary smoothly.
-  EXPECT_NEAR(t65 / t64, t66 / t65, 0.05);
+  EXPECT_NEAR(t1 / t0, t2 / t1, 0.05);
+}
+
+// pi_C R^steps (I-R)^{-1} e with R^steps formed by explicit repeated
+// products: the reference for either of tail()'s two paths.
+double TailByExplicitPower(const QbdSolution& sol, std::size_t steps) {
+  const std::size_t m = sol.phase_dim();
+  Matrix pow = Matrix::identity(m);
+  for (std::size_t i = 0; i < steps; ++i) pow = pow * sol.r();
+  const Vector closure = linalg::solve(Matrix::identity(m) - sol.r(),
+                                       linalg::ones(m));
+  return linalg::dot(sol.pi(sol.boundary_levels()) * pow, closure);
+}
+
+TEST(QbdSolution, TailMatchesExplicitPoweringOnBothPaths) {
+  // m = 231 (N = 20, T = 2): tail(100) steps the vector (99 m^2 products
+  // instead of ~10 m^3). m = 21: tail(100) steps, tail(500) powers.
+  const auto mmpp = PaperClusterMmpp(2, 20);
+  const QbdSolution big(m_mmpp_1(mmpp, 0.6 * mmpp.mean_rate()));
+  ASSERT_EQ(big.phase_dim(), 231u);
+  const QbdSolution small(m_mmpp_1(PaperClusterMmpp(5, 2), 2.5));
+  for (const auto& [sol, k] :
+       {std::pair{&big, std::size_t{100}}, std::pair{&small, std::size_t{100}},
+        std::pair{&small, std::size_t{500}}}) {
+    SCOPED_TRACE("m = " + std::to_string(sol->phase_dim()) +
+                 ", k = " + std::to_string(k));
+    const double expected =
+        TailByExplicitPower(*sol, k - sol->boundary_levels());
+    ASSERT_GT(expected, 0.0);
+    EXPECT_NEAR(sol->tail(k), expected, 1e-12 * expected);
+  }
 }
 
 TEST(QbdSolution, MeanFromPmfMatchesFormula) {

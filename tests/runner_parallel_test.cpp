@@ -3,24 +3,32 @@
 // machine under fault injection, v2 order-independent checkpoint resume
 // (shuffled records ok, duplicated ok-records rejected, v1 still
 // readable), SIGINT wind-down that drains in-flight workers, and the
-// parallel flavour of the SIGKILL-mid-sweep acceptance drill, and the
-// telemetry handoff (trace, log, flight) across real worker forks.
+// parallel flavour of the SIGKILL-mid-sweep acceptance drill, the
+// telemetry handoff (trace, log, flight) across real worker forks, and
+// the pool inside a worker: nested parallel_for, bench::parallel_map's
+// exception contract, pool-thread spans, and the default width share.
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "linalg/errors.h"
+#include "linalg/matrix.h"
 #include "linalg/pool.h"
 #include "map/lumped_aggregate.h"
 #include "medist/me_dist.h"
@@ -657,6 +665,158 @@ TEST(ParallelSweep, PoolMetricsCountPointsAndRetries) {
   EXPECT_EQ(obs::gauge("runner.points.inflight").value(), 0.0);
   EXPECT_EQ(obs::gauge("runner.points.retrying").value(), 0.0);
   obs::reset_metrics_for_test();
+}
+
+// --- one thread budget: pool tasks inside a sweep point ---------------
+
+// A point whose pool tasks fan out again: each of 4 outer tasks runs an
+// inner parallel_for and a 96x96 product (large enough that the product
+// kernels fan out on their own). Every inner result is summed on its
+// task's thread in index order, so the metrics are width-independent.
+PointResult NestedFanOutPoint() {
+  constexpr std::size_t kOuter = 4;
+  constexpr std::size_t kInner = 16;
+  constexpr std::size_t kDim = 96;
+  linalg::Matrix a(kDim, kDim);
+  for (std::size_t i = 0; i < kDim; ++i) {
+    for (std::size_t j = 0; j < kDim; ++j) {
+      a(i, j) = 1.0 / static_cast<double>(1 + i + 2 * j);
+    }
+  }
+  std::vector<double> sums(kOuter);
+  linalg::parallel_for(kOuter, [&](std::size_t t) {
+    std::vector<double> inner(kInner);
+    linalg::parallel_for(kInner, [&](std::size_t j) {
+      inner[j] = std::sqrt(static_cast<double>(1 + t * kInner + j));
+    });
+    const linalg::Matrix p = a * (a * static_cast<double>(t + 1));
+    double acc = 0.0;
+    for (const double x : inner) acc += x;
+    for (const double x : p.data()) acc += x;
+    sums[t] = acc;
+  });
+  PointResult out;
+  for (std::size_t t = 0; t < kOuter; ++t) {
+    out.metrics.emplace_back("task" + std::to_string(t), sums[t]);
+  }
+  return out;
+}
+
+TEST(PoolNesting, NestedParallelForRunsInlineAndMatchesWidthOne) {
+  // A nested call used to deadlock (a worker's run() waited for itself).
+  // Each width runs in a forked sweep worker whose per-point timeout is
+  // the watchdog: a hang degrades the point instead of stalling ctest.
+  SweepOptions opts;
+  opts.jobs = 1;
+  opts.timeout_seconds = 30.0;
+  opts.retry = FastRetries(1);
+  const std::vector<SweepPointSpec> specs{{"nested", NestedFanOutPoint}};
+  std::vector<SweepResult> runs;
+  for (const unsigned width : {1u, 2u, 4u}) {
+    linalg::set_pool_threads(width);
+    runs.push_back(run_sweep("nested-w" + std::to_string(width), specs, opts));
+  }
+  linalg::set_pool_threads(0);
+  for (const SweepResult& run : runs) {
+    ASSERT_EQ(run.points.size(), 1u);
+    EXPECT_EQ(run.points[0].outcome, Outcome::kOk) << run.points[0].message;
+  }
+  ExpectBitIdentical(runs[0], runs[1]);
+  ExpectBitIdentical(runs[0], runs[2]);
+}
+
+TEST(PoolNesting, ParallelMapRethrowsLowestIndexAfterAllTasksFinish) {
+  linalg::set_pool_threads(4);
+  std::atomic<int> finished{0};
+  std::string caught;
+  int finished_at_catch = -1;
+  try {
+    bench::parallel_map(8, [&](std::size_t i) -> int {
+      // Task 5 throws at once, task 2 later, task 7 last of all: the
+      // helper must wait for every task and report task 2.
+      if (i == 2 || i == 7) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(i * 10));
+      }
+      ++finished;
+      if (i == 2 || i == 5) throw std::runtime_error("task " + std::to_string(i));
+      return static_cast<int>(i);
+    });
+  } catch (const std::runtime_error& e) {
+    caught = e.what();
+    finished_at_catch = finished.load();
+  }
+  const auto squares =
+      bench::parallel_map(6, [](std::size_t i) { return i * i; });
+  linalg::set_pool_threads(0);
+  EXPECT_EQ(caught, "task 2");
+  EXPECT_EQ(finished_at_catch, 8);
+  EXPECT_EQ(squares, (std::vector<std::size_t>{0, 1, 4, 9, 16, 25}));
+}
+
+TEST(PoolNesting, SpansOnPoolThreadsOfAWorkerReachTheTrace) {
+  // A forked worker _exits without running thread_local destructors; the
+  // spans its pool threads buffered must still land in the trace.
+  const std::string trace = TempPath("pool_spans.jsonl");
+  std::remove(trace.c_str());
+  obs::enable_trace_file(trace);
+  linalg::set_pool_threads(2);
+  std::vector<SweepPointSpec> specs;
+  for (int i = 0; i < 3; ++i) {
+    specs.push_back({PointId(i), []() {
+      linalg::parallel_for(4, [](std::size_t) {
+        PERFORMA_SPAN("test.pool.task");
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      });
+      return PointResult{};
+    }});
+  }
+  SweepOptions opts;
+  opts.jobs = 2;
+  const auto sweep = run_sweep("pool-spans", specs, opts);
+  linalg::set_pool_threads(0);
+  obs::disable_trace();
+  ASSERT_EQ(sweep.points.size(), 3u);
+  std::ifstream in(trace);
+  std::string line;
+  std::size_t spans = 0;
+  while (std::getline(in, line)) {
+    if (line.find("\"test.pool.task\"") != std::string::npos) ++spans;
+  }
+  EXPECT_EQ(spans, 12u);
+  std::remove(trace.c_str());
+}
+
+TEST(PoolShare, SweepWorkerDefaultWidthIsItsShareOfTheMachine) {
+  // Neither PERFORMA_THREADS nor set_pool_threads sets a width: each of
+  // the sweep's concurrent workers gets max(1, hardware threads / jobs).
+  const char* env = std::getenv("PERFORMA_THREADS");
+  const std::string saved = env != nullptr ? env : "";
+  ::unsetenv("PERFORMA_THREADS");
+  linalg::set_pool_threads(0);
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<SweepPointSpec> specs;
+  for (int i = 0; i < 4; ++i) {
+    specs.push_back({PointId(i), []() {
+      PointResult out;
+      out.metrics.emplace_back("width",
+                               static_cast<double>(linalg::pool_threads()));
+      return out;
+    }});
+  }
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    SCOPED_TRACE("jobs = " + std::to_string(jobs));
+    SweepOptions opts;
+    opts.jobs = jobs;
+    const auto sweep = run_sweep("pool-share", specs, opts);
+    ASSERT_EQ(sweep.points.size(), 4u);
+    for (const auto& pt : sweep.points) {
+      EXPECT_EQ(pt.metric("width"), static_cast<double>(std::max(1u, hw / jobs)));
+    }
+  }
+  // The supervisor itself keeps the whole machine.
+  EXPECT_EQ(linalg::pool_threads(), hw);
+  if (env != nullptr) ::setenv("PERFORMA_THREADS", saved.c_str(), 1);
+  linalg::set_pool_threads(0);
 }
 
 }  // namespace
