@@ -174,6 +174,15 @@ void gemv(std::size_t m, std::size_t n, const double* at, std::size_t ldat,
   detail::gemv_tiled(m, n, at, ldat, x, y);
 }
 
+void vecmat(std::size_t k, std::size_t n, const double* x, const double* b,
+            std::size_t ldb, double* y) {
+  if (kernel_backend() == KernelBackend::kReference) {
+    detail::gemm_ref_rows<false>(0, 1, k, n, x, k, b, ldb, y, n);
+    return;
+  }
+  detail::vecmat_tiled(k, n, x, b, ldb, y);
+}
+
 void lu_factor(std::size_t n, double* a, std::size_t lda, std::size_t* piv,
                int* pivot_sign, double* min_pivot) {
   if (kernel_backend() == KernelBackend::kReference ||

@@ -8,13 +8,16 @@
 //     fanned out over the linalg thread pool (pool.h). The default.
 //
 // Equivalence contract (enforced by linalg_kernels_test): for finite inputs
-// the two backends agree element-wise to <= 8 ulps (+0.0 and -0.0 are
-// considered equal). The blocked kernels earn this cheaply by construction:
-// every output element accumulates its terms in the SAME order as the
-// reference loops (ascending k), so tiling changes memory traffic, never
-// arithmetic. Pivot decisions in the blocked LU are therefore identical to
-// the reference's, and both backends raise the same error taxonomy
-// (InvalidArgument / NumericalError / NonFiniteError / DeadlineError).
+// the two backends agree element-wise to 0 ulps (+0.0 and -0.0 are
+// considered equal). The blocked kernels earn this by construction: every
+// output element accumulates its terms in the SAME order as the reference
+// loops (ascending k), one separate IEEE multiply and add per term, so
+// tiling changes memory traffic, never arithmetic. Tiles at the right and
+// bottom edges of an operand run the same SIMD sequence with masked loads
+// and stores, so every shape runs at full vector width. Pivot decisions in
+// the blocked LU are therefore identical to the reference's, and both
+// backends raise the same error taxonomy (InvalidArgument / NumericalError
+// / NonFiniteError / DeadlineError).
 //
 // Determinism contract: blocked kernels decompose work by problem size
 // only -- never by thread count -- and every pool task writes a disjoint
@@ -70,6 +73,14 @@ void gemm_sub(std::size_t m, std::size_t k, std::size_t n, const double* a,
 /// products it serves are a few hundred rows); x and y must not alias.
 void gemv(std::size_t m, std::size_t n, const double* at, std::size_t ldat,
           const double* x, double* y);
+
+/// y = x*B for a row vector x (length k) and B k-by-n. y (length n) is
+/// overwritten; each y[j] starts from 0.0 and adds x_i*b_ij in ascending-i
+/// order, skipping x_i == 0 -- the arithmetic of the original
+/// Vector*Matrix loop, so both backends agree bit for bit. Single-threaded;
+/// x and y must not alias.
+void vecmat(std::size_t k, std::size_t n, const double* x, const double* b,
+            std::size_t ldb, double* y);
 
 /// In-place LU with partial pivoting: PA = LU over the n-by-n block at
 /// `a`. Row swaps are applied to whole rows (multiplier columns included),

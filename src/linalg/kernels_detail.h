@@ -77,6 +77,10 @@ void gemm_ref_threaded(bool sub, std::size_t m, std::size_t kk,
 void gemv_tiled(std::size_t m, std::size_t n, const double* at,
                 std::size_t ldat, const double* x, double* y);
 
+/// SIMD row-vector-times-matrix product (kern::vecmat).
+void vecmat_tiled(std::size_t k, std::size_t n, const double* x,
+                  const double* b, std::size_t ldb, double* y);
+
 void lu_factor_tiled(std::size_t n, double* a, std::size_t lda,
                      std::size_t* piv, int* pivot_sign, double* min_pivot);
 

@@ -24,12 +24,178 @@ namespace performa::linalg::detail {
 namespace {
 
 constexpr std::size_t kMr = 4;        // micro-kernel rows
-constexpr std::size_t kNr = 8;        // micro-kernel cols
 constexpr std::size_t kRowStrip = 32; // rows per pool task in GEMM
 constexpr std::size_t kColChunk = 64; // RHS columns per pool task in solves
 // Fan out to the pool only when a kernel has at least this many multiply-
 // adds; below it the dispatch overhead exceeds the work.
 constexpr std::size_t kFanOutWork = 1u << 18;
+
+#if defined(__AVX512F__) || defined(__AVX2__)
+
+// One SIMD vector of doubles and its lane mask, spelled once per ISA so the
+// tiles below are written once. CRITICAL for the equivalence contract: mul
+// and add/sub stay SEPARATE instructions (never FMA), so each lane performs
+// the exact rounding sequence of the scalar reference loop -- the wide
+// kernels are bit-identical to the reference, not merely close. Masked
+// loads and stores never touch memory in masked-off lanes, which is what
+// lets an edge tile run the same vector code as an interior one.
+#if defined(__AVX512F__)
+
+using Vec = __m512d;
+using Mask = __mmask8;
+constexpr std::size_t kLanes = 8;
+
+inline Mask lane_mask(std::size_t live) {
+  return live >= kLanes ? static_cast<Mask>(0xff)
+                        : static_cast<Mask>((1u << live) - 1u);
+}
+inline Vec vload(const double* p) { return _mm512_loadu_pd(p); }
+inline Vec vload(const double* p, Mask k) {
+  return _mm512_maskz_loadu_pd(k, p);
+}
+inline void vstore(double* p, Vec v) { _mm512_storeu_pd(p, v); }
+inline void vstore(double* p, Mask k, Vec v) {
+  _mm512_mask_storeu_pd(p, k, v);
+}
+inline Vec vzero() { return _mm512_setzero_pd(); }
+inline Vec vbroadcast(double x) { return _mm512_set1_pd(x); }
+inline Vec vmul(Vec a, Vec b) { return _mm512_mul_pd(a, b); }
+inline Vec vadd(Vec a, Vec b) { return _mm512_add_pd(a, b); }
+inline Vec vsub(Vec a, Vec b) { return _mm512_sub_pd(a, b); }
+
+#else  // __AVX2__
+
+using Vec = __m256d;
+using Mask = __m256i;
+constexpr std::size_t kLanes = 4;
+
+inline Mask lane_mask(std::size_t live) {
+  const auto n = static_cast<long long>(std::min(live, kLanes));
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(n),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+inline Vec vload(const double* p) { return _mm256_loadu_pd(p); }
+inline Vec vload(const double* p, Mask k) { return _mm256_maskload_pd(p, k); }
+inline void vstore(double* p, Vec v) { _mm256_storeu_pd(p, v); }
+inline void vstore(double* p, Mask k, Vec v) {
+  _mm256_maskstore_pd(p, k, v);
+}
+inline Vec vzero() { return _mm256_setzero_pd(); }
+inline Vec vbroadcast(double x) { return _mm256_set1_pd(x); }
+inline Vec vmul(Vec a, Vec b) { return _mm256_mul_pd(a, b); }
+inline Vec vadd(Vec a, Vec b) { return _mm256_add_pd(a, b); }
+inline Vec vsub(Vec a, Vec b) { return _mm256_sub_pd(a, b); }
+
+#endif
+
+// GEMM tiles are kMr rows by up to kQ vectors: 16 accumulators.
+constexpr std::size_t kQ = 4;
+constexpr std::size_t kVecCols = kQ * kLanes;
+
+// Mask of the live lanes of vector q in a tile `cols` columns wide.
+inline Mask vector_mask(std::size_t cols, std::size_t q) {
+  return lane_mask(cols > kLanes * q ? cols - kLanes * q : 0);
+}
+
+// MR-by-(Q vectors) register tile, full k sweep, accumulators in registers:
+// the broadcast / mul / add sequence of the reference loop on every lane.
+// With Edge set, the last vector loads and stores only its `tail` lanes,
+// so a tile at the right edge of C runs at full width too.
+template <bool Sub, std::size_t MR, std::size_t Q, bool Edge>
+inline void micro_simd(std::size_t kk, const double* a, std::size_t lda,
+                       const double* b, std::size_t ldb, double* c,
+                       std::size_t ldc, Mask tail) {
+  auto load = [tail](const double* p, std::size_t q) {
+    return Edge && q + 1 == Q ? vload(p, tail) : vload(p);
+  };
+  Vec acc[MR][Q];
+  for (std::size_t r = 0; r < MR; ++r)
+    for (std::size_t q = 0; q < Q; ++q)
+      acc[r][q] = Sub ? load(c + r * ldc + kLanes * q, q) : vzero();
+  for (std::size_t p = 0; p < kk; ++p) {
+    Vec bv[Q];
+    for (std::size_t q = 0; q < Q; ++q)
+      bv[q] = load(b + p * ldb + kLanes * q, q);
+    for (std::size_t r = 0; r < MR; ++r) {
+      const Vec av = vbroadcast(a[r * lda + p]);
+      for (std::size_t q = 0; q < Q; ++q) {
+        const Vec prod = vmul(av, bv[q]);
+        acc[r][q] = Sub ? vsub(acc[r][q], prod) : vadd(acc[r][q], prod);
+      }
+    }
+  }
+  for (std::size_t r = 0; r < MR; ++r)
+    for (std::size_t q = 0; q < Q; ++q) {
+      double* cq = c + r * ldc + kLanes * q;
+      if (Edge && q + 1 == Q) {
+        vstore(cq, tail, acc[r][q]);
+      } else {
+        vstore(cq, acc[r][q]);
+      }
+    }
+}
+
+// MR rows of C across all n columns: full-width tiles, then one masked
+// tile of 1..kQ vectors for the remaining columns.
+template <bool Sub, std::size_t MR>
+void gemm_row_block(std::size_t kk, std::size_t n, const double* a,
+                    std::size_t lda, const double* b, std::size_t ldb,
+                    double* c, std::size_t ldc) {
+  std::size_t j = 0;
+  for (; j + kVecCols <= n; j += kVecCols)
+    micro_simd<Sub, MR, kQ, false>(kk, a, lda, b + j, ldb, c + j, ldc,
+                                   lane_mask(kLanes));
+  if (j == n) return;
+  const std::size_t w = n - j;
+  const std::size_t vecs = (w + kLanes - 1) / kLanes;
+  const Mask tail = vector_mask(w, vecs - 1);
+  b += j;
+  c += j;
+  switch (vecs) {
+    case 1:
+      micro_simd<Sub, MR, 1, true>(kk, a, lda, b, ldb, c, ldc, tail);
+      break;
+    case 2:
+      micro_simd<Sub, MR, 2, true>(kk, a, lda, b, ldb, c, ldc, tail);
+      break;
+    case 3:
+      micro_simd<Sub, MR, 3, true>(kk, a, lda, b, ldb, c, ldc, tail);
+      break;
+    default:
+      micro_simd<Sub, MR, kQ, true>(kk, a, lda, b, ldb, c, ldc, tail);
+      break;
+  }
+}
+
+template <bool Sub>
+void gemm_blocked_rows(std::size_t i0, std::size_t i1, std::size_t kk,
+                       std::size_t n, const double* a, std::size_t lda,
+                       const double* b, std::size_t ldb, double* c,
+                       std::size_t ldc) {
+  std::size_t i = i0;
+  for (; i + kMr <= i1; i += kMr)
+    gemm_row_block<Sub, kMr>(kk, n, a + i * lda, lda, b, ldb, c + i * ldc,
+                             ldc);
+  a += i * lda;
+  c += i * ldc;
+  switch (i1 - i) {
+    case 1:
+      gemm_row_block<Sub, 1>(kk, n, a, lda, b, ldb, c, ldc);
+      break;
+    case 2:
+      gemm_row_block<Sub, 2>(kk, n, a, lda, b, ldb, c, ldc);
+      break;
+    case 3:
+      gemm_row_block<Sub, 3>(kk, n, a, lda, b, ldb, c, ldc);
+      break;
+    default:
+      break;
+  }
+}
+
+#else  // no SIMD: generic register tiles
+
+constexpr std::size_t kNr = 8;  // micro-kernel cols
 
 // mr-by-nr register tile (mr <= kMr, nr <= kNr), full k sweep, accumulators
 // held locally so the compiler can keep them out of memory.
@@ -58,131 +224,18 @@ inline void micro_tile(std::size_t mr, std::size_t nr, std::size_t kk,
     for (std::size_t j = 0; j < nr; ++j) c[i * ldc + j] = acc[i][j];
 }
 
-// Fixed-shape specialization of the hot interior tile: constant trip counts
-// let the compiler fully unroll and vectorize the j loop.
-template <bool Sub>
-inline void micro_full(std::size_t kk, const double* a, std::size_t lda,
-                       const double* b, std::size_t ldb, double* c,
-                       std::size_t ldc) {
-  double acc[kMr][kNr];
-  for (std::size_t i = 0; i < kMr; ++i)
-    for (std::size_t j = 0; j < kNr; ++j)
-      acc[i][j] = Sub ? c[i * ldc + j] : 0.0;
-  for (std::size_t p = 0; p < kk; ++p) {
-    const double* bp = b + p * ldb;
-    for (std::size_t i = 0; i < kMr; ++i) {
-      const double aip = a[i * lda + p];
-      for (std::size_t j = 0; j < kNr; ++j) {
-        if (Sub) {
-          acc[i][j] -= aip * bp[j];
-        } else {
-          acc[i][j] += aip * bp[j];
-        }
-      }
-    }
-  }
-  for (std::size_t i = 0; i < kMr; ++i)
-    for (std::size_t j = 0; j < kNr; ++j) c[i * ldc + j] = acc[i][j];
-}
-
-// Explicit-SIMD interior tile. GCC compiles the generic 4x8 tile above to
-// mediocre vector code, so the hot path spells out the broadcast / mul /
-// add sequence with intrinsics. CRITICAL for the equivalence contract:
-// mul and add stay SEPARATE instructions (never FMA), so each lane
-// performs the exact rounding sequence of the scalar reference loop --
-// the wide tile is bit-identical to the reference, not merely close.
-#if defined(__AVX512F__)
-
-constexpr std::size_t kVecCols = 32;  // 4 rows x 4 zmm = 16 accumulators
-
-template <bool Sub>
-inline void micro_simd(std::size_t kk, const double* a, std::size_t lda,
-                       const double* b, std::size_t ldb, double* c,
-                       std::size_t ldc) {
-  __m512d acc[kMr][4];
-  for (std::size_t r = 0; r < kMr; ++r)
-    for (std::size_t q = 0; q < 4; ++q)
-      acc[r][q] = Sub ? _mm512_loadu_pd(c + r * ldc + 8 * q)
-                      : _mm512_setzero_pd();
-  for (std::size_t p = 0; p < kk; ++p) {
-    __m512d bv[4];
-    for (std::size_t q = 0; q < 4; ++q)
-      bv[q] = _mm512_loadu_pd(b + p * ldb + 8 * q);
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const __m512d av = _mm512_set1_pd(a[r * lda + p]);
-      for (std::size_t q = 0; q < 4; ++q) {
-        const __m512d prod = _mm512_mul_pd(av, bv[q]);
-        acc[r][q] = Sub ? _mm512_sub_pd(acc[r][q], prod)
-                        : _mm512_add_pd(acc[r][q], prod);
-      }
-    }
-  }
-  for (std::size_t r = 0; r < kMr; ++r)
-    for (std::size_t q = 0; q < 4; ++q)
-      _mm512_storeu_pd(c + r * ldc + 8 * q, acc[r][q]);
-}
-
-#elif defined(__AVX2__)
-
-constexpr std::size_t kVecCols = 16;  // 4 rows x 4 ymm = 16 accumulators
-
-template <bool Sub>
-inline void micro_simd(std::size_t kk, const double* a, std::size_t lda,
-                       const double* b, std::size_t ldb, double* c,
-                       std::size_t ldc) {
-  __m256d acc[kMr][4];
-  for (std::size_t r = 0; r < kMr; ++r)
-    for (std::size_t q = 0; q < 4; ++q)
-      acc[r][q] = Sub ? _mm256_loadu_pd(c + r * ldc + 4 * q)
-                      : _mm256_setzero_pd();
-  for (std::size_t p = 0; p < kk; ++p) {
-    __m256d bv[4];
-    for (std::size_t q = 0; q < 4; ++q)
-      bv[q] = _mm256_loadu_pd(b + p * ldb + 4 * q);
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const __m256d av = _mm256_set1_pd(a[r * lda + p]);
-      for (std::size_t q = 0; q < 4; ++q) {
-        const __m256d prod = _mm256_mul_pd(av, bv[q]);
-        acc[r][q] = Sub ? _mm256_sub_pd(acc[r][q], prod)
-                        : _mm256_add_pd(acc[r][q], prod);
-      }
-    }
-  }
-  for (std::size_t r = 0; r < kMr; ++r)
-    for (std::size_t q = 0; q < 4; ++q)
-      _mm256_storeu_pd(c + r * ldc + 4 * q, acc[r][q]);
-}
-
-#else
-
-constexpr std::size_t kVecCols = 0;  // no SIMD tile; generic path only
-
-#endif
-
 template <bool Sub>
 void gemm_blocked_rows(std::size_t i0, std::size_t i1, std::size_t kk,
                        std::size_t n, const double* a, std::size_t lda,
                        const double* b, std::size_t ldb, double* c,
                        std::size_t ldc) {
-  std::size_t i = i0;
-  for (; i + kMr <= i1; i += kMr) {
-    std::size_t j = 0;
-#if defined(__AVX512F__) || defined(__AVX2__)
-    for (; j + kVecCols <= n; j += kVecCols)
-      micro_simd<Sub>(kk, a + i * lda, lda, b + j, ldb, c + i * ldc + j, ldc);
-#endif
-    for (; j + kNr <= n; j += kNr)
-      micro_full<Sub>(kk, a + i * lda, lda, b + j, ldb, c + i * ldc + j, ldc);
-    if (j < n)
-      micro_tile<Sub>(kMr, n - j, kk, a + i * lda, lda, b + j, ldb,
-                      c + i * ldc + j, ldc);
-  }
-  for (; i < i1; i = i1) {
+  for (std::size_t i = i0; i < i1; i += kMr)
     for (std::size_t j = 0; j < n; j += kNr)
-      micro_tile<Sub>(i1 - i, std::min(kNr, n - j), kk, a + i * lda, lda,
-                      b + j, ldb, c + i * ldc + j, ldc);
-  }
+      micro_tile<Sub>(std::min(kMr, i1 - i), std::min(kNr, n - j), kk,
+                      a + i * lda, lda, b + j, ldb, c + i * ldc + j, ldc);
 }
+
+#endif
 
 // Row-strip driver shared by the tiled and sparse threaded paths. The
 // strip size is a compile-time constant -- the decomposition depends on
@@ -215,63 +268,29 @@ void gemm_strips(std::size_t m, std::size_t kk, std::size_t n,
 // accumulator. Each y[i] therefore still sums its terms in ascending j
 // from 0.0, with mul and add as SEPARATE instructions (never FMA), which
 // is the reference loop's exact rounding sequence. One pass updates up to
-// kGemvRows rows; the pass at the bottom edge masks its loads and stores
-// (masked-off lanes never touch memory), so every row shares one path.
-#if defined(__AVX512F__)
+// kGemvRows rows; the pass at the bottom edge masks its loads and stores,
+// so every row shares one path.
+#if defined(__AVX512F__) || defined(__AVX2__)
 
-constexpr std::size_t kGemvRows = 16;  // 2 zmm accumulators per pass
-
-inline __mmask8 lane_mask(std::size_t rows) {
-  return rows >= 8 ? static_cast<__mmask8>(0xff)
-                   : static_cast<__mmask8>((1u << rows) - 1u);
-}
+constexpr std::size_t kGemvRows = 16;
+constexpr std::size_t kGemvQ = kGemvRows / kLanes;
 
 inline void gemv_pass(std::size_t rows, std::size_t n, const double* at,
                       std::size_t ldat, const double* x, double* y) {
-  const __mmask8 k0 = lane_mask(rows);
-  const __mmask8 k1 = lane_mask(rows > 8 ? rows - 8 : 0);
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  for (std::size_t j = 0; j < n; ++j) {
-    const double* col = at + j * ldat;
-    const __m512d xj = _mm512_set1_pd(x[j]);
-    acc0 = _mm512_add_pd(acc0,
-                         _mm512_mul_pd(_mm512_maskz_loadu_pd(k0, col), xj));
-    acc1 = _mm512_add_pd(
-        acc1, _mm512_mul_pd(_mm512_maskz_loadu_pd(k1, col + 8), xj));
-  }
-  _mm512_mask_storeu_pd(y, k0, acc0);
-  _mm512_mask_storeu_pd(y + 8, k1, acc1);
-}
-
-#elif defined(__AVX2__)
-
-constexpr std::size_t kGemvRows = 16;  // 4 ymm accumulators per pass
-
-inline __m256i lane_mask(std::size_t rows) {
-  const auto live = static_cast<long long>(std::min<std::size_t>(rows, 4));
-  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(live),
-                            _mm256_setr_epi64x(0, 1, 2, 3));
-}
-
-inline void gemv_pass(std::size_t rows, std::size_t n, const double* at,
-                      std::size_t ldat, const double* x, double* y) {
-  __m256i k[4];
-  __m256d acc[4];
-  for (std::size_t q = 0; q < 4; ++q) {
-    k[q] = lane_mask(rows > 4 * q ? rows - 4 * q : 0);
-    acc[q] = _mm256_setzero_pd();
+  Mask k[kGemvQ];
+  Vec acc[kGemvQ];
+  for (std::size_t q = 0; q < kGemvQ; ++q) {
+    k[q] = vector_mask(rows, q);
+    acc[q] = vzero();
   }
   for (std::size_t j = 0; j < n; ++j) {
     const double* col = at + j * ldat;
-    const __m256d xj = _mm256_set1_pd(x[j]);
-    for (std::size_t q = 0; q < 4; ++q) {
-      acc[q] = _mm256_add_pd(
-          acc[q], _mm256_mul_pd(_mm256_maskload_pd(col + 4 * q, k[q]), xj));
-    }
+    const Vec xj = vbroadcast(x[j]);
+    for (std::size_t q = 0; q < kGemvQ; ++q)
+      acc[q] = vadd(acc[q], vmul(vload(col + kLanes * q, k[q]), xj));
   }
-  for (std::size_t q = 0; q < 4; ++q)
-    _mm256_maskstore_pd(y + 4 * q, k[q], acc[q]);
+  for (std::size_t q = 0; q < kGemvQ; ++q)
+    vstore(y + kLanes * q, k[q], acc[q]);
 }
 
 #endif
@@ -285,6 +304,36 @@ void gemv_tiled(std::size_t m, std::size_t n, const double* at,
     gemv_pass(std::min(kGemvRows, m - i), n, at + i, ldat, x, y + i);
 #else
   gemv_ref(m, n, at, ldat, x, y);
+#endif
+}
+
+// Row vector times matrix, vectorized across columns: one kVecCols-wide
+// block of y stays in registers while every row of B streams past it.
+// Each y[j] sums x_i*b_ij from 0.0 in ascending i, skipping x_i == 0 --
+// the reference loop's exact sequence.
+void vecmat_tiled(std::size_t k, std::size_t n, const double* x,
+                  const double* b, std::size_t ldb, double* y) {
+#if defined(__AVX512F__) || defined(__AVX2__)
+  for (std::size_t j = 0; j < n; j += kVecCols) {
+    const std::size_t w = std::min(kVecCols, n - j);
+    Mask live[kQ];
+    Vec acc[kQ];
+    for (std::size_t q = 0; q < kQ; ++q) {
+      live[q] = vector_mask(w, q);
+      acc[q] = vzero();
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+      if (x[i] == 0.0) continue;
+      const Vec xi = vbroadcast(x[i]);
+      const double* bi = b + i * ldb + j;
+      for (std::size_t q = 0; q < kQ; ++q)
+        acc[q] = vadd(acc[q], vmul(xi, vload(bi + kLanes * q, live[q])));
+    }
+    for (std::size_t q = 0; q < kQ; ++q)
+      vstore(y + j + kLanes * q, live[q], acc[q]);
+  }
+#else
+  gemm_ref_rows<false>(0, 1, k, n, x, k, b, ldb, y, n);
 #endif
 }
 
@@ -399,50 +448,35 @@ void lu_solve_tiled(std::size_t n, const double* lu, std::size_t ldlu,
         for (std::size_t c = 0; c < cw; ++c) std::swap(xk[c], xp[c]);
       }
     }
-    // The updated row is accumulated in a local buffer: the compiler
-    // cannot prove the target row and the source rows don't alias (both
-    // live in x), so without the buffer it spills the accumulators to
-    // memory on every term instead of keeping them in registers.
-    double buf[kColChunk];
-    // Forward substitution, TRSM-style: solve a kPanel-row diagonal
-    // block with the buffered scalar loop, then fan its contribution
-    // into every row below through the SIMD gemm tiles. Element (i, c)
-    // still receives its subtractions in ascending-k order -- earlier
-    // blocks land via gemm before the within-block terms -- so the
-    // result is bit-identical to the unblocked loop. (The backward pass
-    // below cannot be blocked this way: batching the off-block columns
-    // would subtract them before the within-block ones, reordering the
-    // sum.)
+    // Forward substitution, TRSM-style: solve a kPanel-row diagonal block
+    // row by row, then fan its contribution into every row below through
+    // the SIMD gemm tiles. Element (i, c) still receives its subtractions
+    // in ascending-k order -- earlier blocks land via gemm before the
+    // within-block terms -- so the result is bit-identical to the
+    // unblocked loop. Each single-row update is a one-row gemm_sub, which
+    // keeps the row's accumulators in registers.
     for (std::size_t b0 = 0; b0 < n; b0 += kPanel) {
       const std::size_t b1 = std::min(b0 + kPanel, n);
-      for (std::size_t i = b0 + 1; i < b1; ++i) {
-        const double* lui = lu + i * ldlu;
-        double* xi = x + i * ldx + c0;
-        for (std::size_t c = 0; c < cw; ++c) buf[c] = xi[c];
-        for (std::size_t k = b0; k < i; ++k) {
-          const double lik = lui[k];
-          const double* xk = x + k * ldx + c0;
-          for (std::size_t c = 0; c < cw; ++c) buf[c] -= lik * xk[c];
-        }
-        for (std::size_t c = 0; c < cw; ++c) xi[c] = buf[c];
-      }
+      for (std::size_t i = b0 + 1; i < b1; ++i)
+        gemm_blocked_rows<true>(0, 1, i - b0, cw, lu + i * ldlu + b0, ldlu,
+                                x + b0 * ldx + c0, ldx, x + i * ldx + c0,
+                                ldx);
       if (b1 < n) {
         gemm_blocked_rows<true>(0, n - b1, b1 - b0, cw, lu + b1 * ldlu + b0,
                                 ldlu, x + b0 * ldx + c0, ldx,
                                 x + b1 * ldx + c0, ldx);
       }
     }
+    // Backward substitution, one row at a time: row k needs every later
+    // row final, and its terms must arrive in ascending j, so the pass
+    // cannot be blocked like the forward one (batching the off-block
+    // columns would subtract them before the within-block ones).
     for (std::size_t k = n; k-- > 0;) {
-      const double* luk = lu + k * ldlu;
       double* xk = x + k * ldx + c0;
-      for (std::size_t c = 0; c < cw; ++c) buf[c] = xk[c];
-      for (std::size_t j = k + 1; j < n; ++j) {
-        const double lkj = luk[j];
-        const double* xj = x + j * ldx + c0;
-        for (std::size_t c = 0; c < cw; ++c) buf[c] -= lkj * xj[c];
-      }
-      const double ukk = luk[k];
-      for (std::size_t c = 0; c < cw; ++c) xk[c] = buf[c] / ukk;
+      gemm_blocked_rows<true>(0, 1, n - k - 1, cw, lu + k * ldlu + k + 1,
+                              ldlu, x + (k + 1) * ldx + c0, ldx, xk, ldx);
+      const double ukk = lu[k * ldlu + k];
+      for (std::size_t c = 0; c < cw; ++c) xk[c] /= ukk;
     }
   };
   if (chunks < 2 || n * n * nrhs < kFanOutWork) {
@@ -458,12 +492,12 @@ void lu_solve_tiled(std::size_t n, const double* lu, std::size_t ldlu,
 // arithmetic order.
 //
 // Within a strip the rows are solved TOGETHER in a transposed scratch
-// buffer (column i of the strip is contiguous), so the innermost loop
-// runs across rows. A single row's substitution is a serial reduction
-// the vectorizer cannot touch -- each `acc -= z[i]*u(i,k)` depends on
-// the last -- but across rows the chains are independent, so a
-// 64-row strip gives the FP units eight vector accumulators in flight.
-// Each row still performs the reference's exact operation sequence.
+// buffer (column i of the strip is contiguous), so the SIMD lanes run
+// across rows. A single row's substitution is a serial reduction the
+// vectorizer cannot touch -- each `acc -= z[i]*u(i,k)` depends on the
+// last -- but across rows the chains are independent, so a 64-row strip
+// keeps eight vector accumulators in flight. Each row still performs the
+// reference's exact operation sequence.
 void lu_solve_left_tiled(std::size_t n, const double* lu, std::size_t ldlu,
                          const std::size_t* piv, double* x,
                          std::size_t nrows, std::size_t ldx) {
@@ -496,54 +530,42 @@ void lu_solve_left_tiled(std::size_t n, const double* lu, std::size_t ldlu,
   auto solve_strip = [&](std::size_t s) {
     const std::size_t r0 = s * kRows;
     const std::size_t w = std::min(kRows, nrows - r0);
-    // Gather the strip transposed; zero-filled padding lanes keep the
-    // fixed-width loops finite (0 stays 0 through every substitution).
+    // Gather the strip transposed: row i of zbuf holds z_i of every row
+    // of the strip, so each update below is a row-major gemm against lut
+    // over the strip's w live lanes.
     std::vector<double> zbuf(n * kRows);
     for (std::size_t r = 0; r < w; ++r) {
       const double* z = x + (r0 + r) * ldx;
       for (std::size_t i = 0; i < n; ++i) zbuf[i * kRows + r] = z[i];
     }
-    // Accumulate the active column in a local buffer (see lu_solve_tiled:
-    // without it the compiler can't disprove aliasing between zk and zi
-    // and spills the accumulators on every term).
-    double acc[kRows];
+    double* zb = zbuf.data();
     // Forward pass z U = b, TRSM-style over kPanel-column blocks of U:
-    // solve the diagonal block with the buffered loop, then fan it into
-    // the columns to the right through the SIMD gemm tiles (in zbuf the
-    // batch dimension is contiguous, so the update is a plain row-major
-    // gemm against lut). Ascending-i term order per element is
-    // preserved, so the result is bit-identical to the unblocked loop.
+    // solve the diagonal block one column at a time (a one-row gemm_sub
+    // per column, accumulators in registers), then fan it into the columns
+    // to the right through the SIMD gemm tiles. Ascending-i term order per
+    // element is preserved, so the result is bit-identical to the
+    // unblocked loop.
     for (std::size_t b0 = 0; b0 < n; b0 += kPanel) {
       const std::size_t b1 = std::min(b0 + kPanel, n);
       for (std::size_t k = b0; k < b1; ++k) {
-        const double* ltk = lut.data() + k * n;
-        double* zk = zbuf.data() + k * kRows;
-        for (std::size_t r = 0; r < kRows; ++r) acc[r] = zk[r];
-        for (std::size_t i = b0; i < k; ++i) {
-          const double uik = ltk[i];
-          const double* zi = zbuf.data() + i * kRows;
-          for (std::size_t r = 0; r < kRows; ++r) acc[r] -= zi[r] * uik;
-        }
-        const double ukk = ltk[k];
-        for (std::size_t r = 0; r < kRows; ++r) zk[r] = acc[r] / ukk;
+        double* zk = zb + k * kRows;
+        gemm_blocked_rows<true>(0, 1, k - b0, w, lut.data() + k * n + b0, n,
+                                zb + b0 * kRows, kRows, zk, kRows);
+        const double ukk = lut[k * n + k];
+        for (std::size_t r = 0; r < w; ++r) zk[r] /= ukk;
       }
       if (b1 < n) {
-        gemm_blocked_rows<true>(0, n - b1, b1 - b0, kRows,
-                                lut.data() + b1 * n + b0, n,
-                                zbuf.data() + b0 * kRows, kRows,
-                                zbuf.data() + b1 * kRows, kRows);
+        gemm_blocked_rows<true>(0, n - b1, b1 - b0, w, lut.data() + b1 * n + b0,
+                                n, zb + b0 * kRows, kRows, zb + b1 * kRows,
+                                kRows);
       }
     }
+    // Backward pass y L = z, one column at a time in descending k (see
+    // lu_solve_tiled for why it cannot be blocked).
     for (std::size_t k = n; k-- > 0;) {
-      const double* ltk = lut.data() + k * n;
-      double* zk = zbuf.data() + k * kRows;
-      for (std::size_t r = 0; r < kRows; ++r) acc[r] = zk[r];
-      for (std::size_t i = k + 1; i < n; ++i) {
-        const double lik = ltk[i];
-        const double* zi = zbuf.data() + i * kRows;
-        for (std::size_t r = 0; r < kRows; ++r) acc[r] -= zi[r] * lik;
-      }
-      for (std::size_t r = 0; r < kRows; ++r) zk[r] = acc[r];
+      gemm_blocked_rows<true>(0, 1, n - k - 1, w, lut.data() + k * n + k + 1,
+                              n, zb + (k + 1) * kRows, kRows, zb + k * kRows,
+                              kRows);
     }
     for (std::size_t r = 0; r < w; ++r) {
       double* z = x + (r0 + r) * ldx;

@@ -138,12 +138,9 @@ Vector operator*(const Matrix& m, const Vector& v) {
 
 Vector operator*(const Vector& v, const Matrix& m) {
   PERFORMA_EXPECTS(v.size() == m.rows(), "Vector*Matrix: shape mismatch");
-  Vector out(m.cols(), 0.0);
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    const double vi = v[i];
-    if (vi == 0.0) continue;
-    for (std::size_t j = 0; j < m.cols(); ++j) out[j] += vi * m(i, j);
-  }
+  Vector out(m.cols());
+  kern::vecmat(m.rows(), m.cols(), v.data(), m.data().data(), m.cols(),
+               out.data());
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "core/cluster_model.h"
 #include "linalg/ctmc.h"
 #include "linalg/kernels.h"
 #include "linalg/lu.h"
@@ -245,6 +246,22 @@ TEST(QbdSolution, TailMatchesExplicitPoweringOnBothPaths) {
     ASSERT_GT(expected, 0.0);
     EXPECT_NEAR(sol->tail(k), expected, 1e-12 * expected);
   }
+}
+
+TEST(QbdSolution, LumpedN200AnswerIsPinnedBitForBit) {
+  // The N=200 T=1 lumped headline model at rho = 0.7 (m = 201). Its first
+  // doublings produce iterate entries far below 2^-500, which logarithmic
+  // reduction flushes to zero to stay off the subnormal path; E[Q], the
+  // tail and sp(R) must keep every bit they had before the flush.
+  core::ClusterParams p;
+  p.n_servers = 200;
+  p.down = make_tpt(TptSpec{1, 1.4, 0.2, 10.0});
+  const core::ClusterModel model(p);
+  const QbdSolution sol = model.solve(model.lambda_for_rho(0.7));
+  ASSERT_EQ(sol.phase_dim(), 201u);
+  EXPECT_EQ(sol.mean_queue_length(), 2.3423099392937003);
+  EXPECT_EQ(sol.tail(100), 2.2330459901136656e-15);
+  EXPECT_EQ(sol.decay_rate(), 0.91876614298295611);
 }
 
 TEST(QbdSolution, MeanFromPmfMatchesFormula) {
